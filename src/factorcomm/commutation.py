@@ -17,13 +17,14 @@ from .errors import DimensionMismatch, InvalidParameter, NotNormal
 from .linalg import (
     DEFAULT_TOL,
     StructureFlags,
+    _JsonReport,
+    _quasi_nilpotent,
+    _structure_flags,
     as_matrix,
-    classify_structure,
-    complex_to_json,
+    complex_from_json,
     eigenvalues,
     frob,
     matrix_from_json,
-    matrix_to_json,
     require_square,
 )
 from .sampling import ginibre, rng_for
@@ -34,7 +35,7 @@ NONE = "NONE"
 
 
 @dataclass
-class OperatorPair:
+class OperatorPair(_JsonReport):
     """A pair (A, B) of equal-dimension square matrices.
 
     ``declared_lambda`` records the factor the pair was built to satisfy,
@@ -55,8 +56,10 @@ class OperatorPair:
             raise DimensionMismatch(
                 f"A and B must have equal dimension, got {self.A.shape} and {self.B.shape}"
             )
-        if self.declared_lambda is not None and self.declared_lambda == 0:
-            raise InvalidParameter("a declared factor must be nonzero")
+        if self.declared_lambda is not None:
+            self.declared_lambda = complex(self.declared_lambda)
+            if self.declared_lambda == 0:
+                raise InvalidParameter("a declared factor must be nonzero")
 
     @property
     def dim(self) -> int:
@@ -71,16 +74,6 @@ class OperatorPair:
             label=f"{self.label} (swapped)" if self.label else "(swapped)",
         )
 
-    def to_json(self) -> dict:
-        return {
-            "A": matrix_to_json(self.A),
-            "B": matrix_to_json(self.B),
-            "declared_lambda": None
-            if self.declared_lambda is None
-            else complex_to_json(self.declared_lambda),
-            "label": self.label,
-        }
-
     @classmethod
     def from_json(cls, obj) -> "OperatorPair":
         if not isinstance(obj, dict) or "A" not in obj or "B" not in obj:
@@ -89,13 +82,13 @@ class OperatorPair:
         return cls(
             A=matrix_from_json(obj["A"]),
             B=matrix_from_json(obj["B"]),
-            declared_lambda=None if lam is None else complex(lam[0], lam[1]),
+            declared_lambda=None if lam is None else complex_from_json(lam),
             label=str(obj.get("label", "")),
         )
 
 
 @dataclass
-class FactorReport:
+class FactorReport(_JsonReport):
     """Outcome of factor detection.
 
     status UNIQUE: ``lambda_hat`` fits AB = lambda BA with small residual.
@@ -110,59 +103,33 @@ class FactorReport:
     ab_norm: float
     ba_norm: float
 
-    def to_json(self) -> dict:
-        return {
-            "status": self.status,
-            "lambda_hat": None if self.lambda_hat is None else complex_to_json(self.lambda_hat),
-            "residual": self.residual,
-            "ab_norm": self.ab_norm,
-            "ba_norm": self.ba_norm,
-        }
-
 
 @dataclass
-class SpectrumMatchReport:
+class SpectrumMatchReport(_JsonReport):
     """Multiset comparison of two spectra under optimal assignment."""
 
     matched: bool
     max_pair_distance: float
     assignment: list[tuple[int, int]] = field(default_factory=list)
 
-    def to_json(self) -> dict:
-        return {
-            "matched": self.matched,
-            "max_pair_distance": self.max_pair_distance,
-            "assignment": [[int(i), int(j)] for i, j in self.assignment],
-        }
-
 
 @dataclass
-class LambdaConstraint:
+class LambdaConstraint(_JsonReport):
     """A single structural constraint on the admissible factor."""
 
+    constraint: str  # the rule as text, e.g. "|lambda| = 1"
     kind: str  # "real" | "pm1" | "one" | "unimodular" | "nth-root"
-    text: str
     source: str
     order: int | None = None  # n for the nth-root kind
     satisfied: bool | None = None
     discrepancy: float | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "constraint": self.text,
-            "kind": self.kind,
-            "source": self.source,
-            "order": self.order,
-            "satisfied": self.satisfied,
-            "discrepancy": self.discrepancy,
-        }
-
 
 @dataclass
-class ClassificationReport:
+class ClassificationReport(_JsonReport):
+    factor: FactorReport
     flags_A: StructureFlags
     flags_B: StructureFlags
-    factor: FactorReport
     constraints: list[LambdaConstraint]
     swap_check: SpectrumMatchReport | None
     product_rotation: SpectrumMatchReport | None
@@ -173,30 +140,10 @@ class ClassificationReport:
     violations: list[str]
 
     def to_json(self) -> dict:
-        return {
-            "status": self.factor.status,
-            "lambda_hat": None
-            if self.factor.lambda_hat is None
-            else complex_to_json(self.factor.lambda_hat),
-            "residual": self.factor.residual,
-            "factor": self.factor.to_json(),
-            "flags_A": self.flags_A.to_json(),
-            "flags_B": self.flags_B.to_json(),
-            "constraints": [c.to_json() for c in self.constraints],
-            "swap_check": None if self.swap_check is None else self.swap_check.to_json(),
-            "product_rotation": None
-            if self.product_rotation is None
-            else self.product_rotation.to_json(),
-            "a_spectrum_rotation": None
-            if self.a_spectrum_rotation is None
-            else self.a_spectrum_rotation.to_json(),
-            "b_spectrum_rotation": None
-            if self.b_spectrum_rotation is None
-            else self.b_spectrum_rotation.to_json(),
-            "product_quasinilpotent": self.product_quasinilpotent,
-            "consistent": self.consistent,
-            "violations": self.violations,
-        }
+        """The fields, headed by the factor's status, lambda_hat and residual."""
+        body = super().to_json()
+        head = {key: body["factor"][key] for key in ("status", "lambda_hat", "residual")}
+        return {**head, **body}
 
 
 def detect_factor(pair: OperatorPair, tol: float = DEFAULT_TOL) -> FactorReport:
@@ -207,8 +154,11 @@ def detect_factor(pair: OperatorPair, tol: float = DEFAULT_TOL) -> FactorReport:
     inputs and yields a residual for the UNIQUE/NONE decision.  Zero
     products are judged relative to max(1, ||A|| * ||B||).
     """
-    AB = pair.A @ pair.B
-    BA = pair.B @ pair.A
+    return _fit_factor(pair, pair.A @ pair.B, pair.B @ pair.A, tol)
+
+
+def _fit_factor(pair: OperatorPair, AB: np.ndarray, BA: np.ndarray, tol: float) -> FactorReport:
+    """``detect_factor`` with the products AB and BA already formed."""
     ab_norm = frob(AB)
     ba_norm = frob(BA)
     zero_cut = tol * max(1.0, frob(pair.A) * frob(pair.B))
@@ -292,7 +242,7 @@ def trace_det_constraints(
                 out.append(
                     LambdaConstraint(
                         kind="one",
-                        text="lambda = 1",
+                        constraint="lambda = 1",
                         source=f"nonzero trace {name} = {trace:.6g}",
                     )
                 )
@@ -301,7 +251,7 @@ def trace_det_constraints(
         out.append(
             LambdaConstraint(
                 kind="nth-root",
-                text=f"lambda^{n} = 1",
+                constraint=f"lambda^{n} = 1",
                 source=f"nonzero det(AB) = {det:.6g}",
                 order=n,
             )
@@ -337,13 +287,14 @@ def classify_pair(
     Constraint checks are advisory over floating point: every violation
     records the magnitude of the discrepancy.
     """
-    factor = detect_factor(pair, tol)
-    flags_A = classify_structure(pair.A, tol)
-    flags_B = classify_structure(pair.B, tol)
-    n = pair.dim
-    kmax = n if kmax is None else kmax
-
-    product_flags = classify_structure(pair.A @ pair.B, tol)
+    A, B = pair.A, pair.B
+    AB, BA = A @ B, B @ A
+    factor = _fit_factor(pair, AB, BA, tol)
+    eig_A, eig_B, eig_AB = eigenvalues(A), eigenvalues(B), eigenvalues(AB)
+    flags_A = _structure_flags(A, eig_A, tol)
+    flags_B = _structure_flags(B, eig_B, tol)
+    product_quasinilpotent = _quasi_nilpotent(AB, eig_AB, tol)
+    kmax = pair.dim if kmax is None else kmax
 
     constraints: list[LambdaConstraint] = []
     if flags_A.hermitian or flags_B.hermitian:
@@ -351,19 +302,19 @@ def classify_pair(
             "A" if flags_A.hermitian else "B"
         )
         constraints.append(
-            LambdaConstraint(kind="real", text="lambda real", source=f"{which} self-adjoint")
+            LambdaConstraint(kind="real", constraint="lambda real", source=f"{which} self-adjoint")
         )
     if flags_A.hermitian and flags_B.hermitian:
         constraints.append(
             LambdaConstraint(
-                kind="pm1", text="lambda in {1, -1}", source="both factors self-adjoint"
+                kind="pm1", constraint="lambda in {1, -1}", source="both factors self-adjoint"
             )
         )
         if flags_A.positive_semidefinite or flags_B.positive_semidefinite:
             constraints.append(
                 LambdaConstraint(
                     kind="one",
-                    text="lambda = 1",
+                    constraint="lambda = 1",
                     source="self-adjoint pair with a positive factor",
                 )
             )
@@ -371,7 +322,7 @@ def classify_pair(
         constraints.append(
             LambdaConstraint(
                 kind="unimodular",
-                text="|lambda| = 1",
+                constraint="|lambda| = 1",
                 source="A invertible and sigma(B) != {0}"
                 if not flags_B.quasi_nilpotent
                 else "A unitary",
@@ -381,17 +332,17 @@ def classify_pair(
         constraints.append(
             LambdaConstraint(
                 kind="unimodular",
-                text="|lambda| = 1",
+                constraint="|lambda| = 1",
                 source="B invertible and sigma(A) != {0}"
                 if not flags_A.quasi_nilpotent
                 else "B unitary",
             )
         )
-    if not product_flags.quasi_nilpotent:
+    if not product_quasinilpotent:
         constraints.append(
             LambdaConstraint(
                 kind="unimodular",
-                text="|lambda| = 1",
+                constraint="|lambda| = 1",
                 source="sigma(AB) != {0}",
             )
         )
@@ -411,48 +362,48 @@ def classify_pair(
             c.satisfied = bool(c.discrepancy <= check_cut)
             if not c.satisfied:
                 violations.append(
-                    f"{c.text} violated by {c.discrepancy:.3e} ({c.source})"
+                    f"{c.constraint} violated by {c.discrepancy:.3e} ({c.source})"
                 )
-        swap_check = spectrum_swap_check(pair, tol)
+        swap_check = _assignment_match(eig_AB, eigenvalues(BA), tol)
         if not swap_check.matched:
             violations.append(
                 f"sigma(AB) != sigma(BA): max assignment distance {swap_check.max_pair_distance:.3e}"
             )
-        product_rotation = spectrum_rotation_check(eigenvalues(pair.A @ pair.B), lam, tol)
+        product_rotation = spectrum_rotation_check(eig_AB, lam, tol)
         if not product_rotation.matched:
             violations.append(
                 f"sigma(AB) not invariant under lambda: distance {product_rotation.max_pair_distance:.3e}"
             )
         if flags_A.invertible:
-            b_rotation = spectrum_rotation_check(eigenvalues(pair.B), lam, tol)
+            b_rotation = spectrum_rotation_check(eig_B, lam, tol)
             if not b_rotation.matched:
                 violations.append(
                     f"sigma(B) not invariant under lambda (A invertible): "
                     f"distance {b_rotation.max_pair_distance:.3e}"
                 )
         if flags_B.invertible:
-            a_rotation = spectrum_rotation_check(eigenvalues(pair.A), lam, tol)
+            a_rotation = spectrum_rotation_check(eig_A, lam, tol)
             if not a_rotation.matched:
                 violations.append(
                     f"sigma(A) not invariant under lambda (B invertible): "
                     f"distance {a_rotation.max_pair_distance:.3e}"
                 )
-        if abs(abs(lam) - 1.0) > check_cut and not product_flags.quasi_nilpotent:
+        if abs(abs(lam) - 1.0) > check_cut and not product_quasinilpotent:
             violations.append(
                 f"|lambda| = {abs(lam):.6g} != 1 requires a quasi-nilpotent product, "
                 "but sigma(AB) != {0}"
             )
 
     return ClassificationReport(
+        factor=factor,
         flags_A=flags_A,
         flags_B=flags_B,
-        factor=factor,
         constraints=constraints,
         swap_check=swap_check,
         product_rotation=product_rotation,
         a_spectrum_rotation=a_rotation,
         b_spectrum_rotation=b_rotation,
-        product_quasinilpotent=product_flags.quasi_nilpotent,
+        product_quasinilpotent=product_quasinilpotent,
         consistent=not violations,
         violations=violations,
     )

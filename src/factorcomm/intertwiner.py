@@ -13,11 +13,11 @@ import numpy as np
 
 from .commutation import OperatorPair
 from .errors import ConditionFailed, DimensionMismatch, NotHermitian, VerificationFailed
-from .linalg import DEFAULT_TOL, frob, is_hermitian, matrix_to_json, polar
+from .linalg import DEFAULT_TOL, _JsonReport, frob, is_hermitian, polar
 
 
 @dataclass
-class UnitaryIntertwiner:
+class UnitaryIntertwiner(_JsonReport):
     """The constructed unitary together with its polar ingredients.
 
     ``U = V^2 + Q`` acts as V^2 on the closure of the range of |AB| and as
@@ -34,19 +34,9 @@ class UnitaryIntertwiner:
     residual_intertwine: float
     residual_unitary: float
 
-    def to_json(self) -> dict:
-        return {
-            "U": matrix_to_json(self.U),
-            "V": matrix_to_json(self.V),
-            "P": matrix_to_json(self.P),
-            "Q": matrix_to_json(self.Q),
-            "residual_intertwine": self.residual_intertwine,
-            "residual_unitary": self.residual_unitary,
-        }
-
 
 @dataclass
-class GudderNagyReport:
+class GudderNagyReport(_JsonReport):
     """Both sides of the equivalence, evaluated independently."""
 
     lhs_holds: bool  # AB^2A = BA^2B
@@ -55,16 +45,6 @@ class GudderNagyReport:
     lhs_magnitude: float
     rhs_magnitude_ab: float
     rhs_magnitude_ba: float
-
-    def to_json(self) -> dict:
-        return {
-            "lhs_holds": self.lhs_holds,
-            "rhs_holds": self.rhs_holds,
-            "consistent": self.consistent,
-            "lhs_magnitude": self.lhs_magnitude,
-            "rhs_magnitude_ab": self.rhs_magnitude_ab,
-            "rhs_magnitude_ba": self.rhs_magnitude_ba,
-        }
 
 
 def _require_hermitian_pair(pair: OperatorPair, tol: float) -> None:

@@ -8,7 +8,7 @@ norm is at most ``tol * max(1, scale)`` for the natural scale of the
 comparison.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -138,65 +138,6 @@ def polar(C: np.ndarray, tol: float = DEFAULT_TOL) -> PolarParts:
     return PolarParts(V=V, absC=absC, P=P, Q=Q, rank=rank)
 
 
-@dataclass
-class StructureFlags:
-    """Structural predicates of a square matrix at a given tolerance."""
-
-    hermitian: bool
-    positive_semidefinite: bool
-    positive_definite: bool
-    unitary: bool
-    invertible: bool
-    quasi_nilpotent: bool
-    tolerance_used: float
-
-    def to_json(self) -> dict:
-        return {
-            "hermitian": self.hermitian,
-            "positive_semidefinite": self.positive_semidefinite,
-            "positive_definite": self.positive_definite,
-            "unitary": self.unitary,
-            "invertible": self.invertible,
-            "quasi_nilpotent": self.quasi_nilpotent,
-            "tolerance_used": self.tolerance_used,
-        }
-
-
-def classify_structure(M: np.ndarray, tol: float = DEFAULT_TOL) -> StructureFlags:
-    """Evaluate the structural predicates used by the classification rules.
-
-    Hermitian and quasi-nilpotent checks are relative to max(1, ||M||_F);
-    unitarity compares M*M against I absolutely; invertibility uses the
-    standard numerical-rank cutoff smallest-singular > tol * largest.
-    """
-    require_square(M)
-    n = M.shape[0]
-    scale = max(1.0, frob(M))
-
-    hermitian = frob(M - M.conj().T) <= tol * scale
-    psd = False
-    pd = False
-    if hermitian:
-        w = np.linalg.eigvalsh((M + M.conj().T) / 2.0)
-        psd = bool(w.min() >= -tol)
-        pd = bool(w.min() > tol)
-
-    _, s, _ = svd(M)
-    unitary = frob(M.conj().T @ M - np.eye(n)) <= tol
-    invertible = bool(s.size and s[-1] > tol * s[0])
-    quasi_nilpotent = bool(np.all(np.abs(eigenvalues(M)) <= tol * scale))
-
-    return StructureFlags(
-        hermitian=hermitian,
-        positive_semidefinite=psd,
-        positive_definite=pd,
-        unitary=unitary,
-        invertible=invertible,
-        quasi_nilpotent=quasi_nilpotent,
-        tolerance_used=tol,
-    )
-
-
 # ---------------------------------------------------------------------------
 # JSON encoding shared by every module and the CLI:
 #   {"rows": n, "cols": m, "data": [[re, im], ...]}  row-major
@@ -243,3 +184,88 @@ def matrix_from_json(obj) -> np.ndarray:
         )
     flat = [complex_from_json(entry) for entry in data]
     return np.array(flat, dtype=np.complex128).reshape(rows, cols)
+
+
+def _to_json(value):
+    """JSON-ready form of a report value.
+
+    Dataclasses become objects of their fields in declaration order,
+    arrays become matrix JSON, complex scalars ``[re, im]``, and lists,
+    tuples and dicts are encoded element by element; anything else is
+    already JSON and passes through unchanged.
+    """
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, np.ndarray):
+        return matrix_to_json(value)
+    if isinstance(value, complex):
+        return complex_to_json(value)
+    if isinstance(value, dict):
+        return {key: _to_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_to_json(item) for item in value]
+    return value
+
+
+class _JsonReport:
+    """Base of every serializable dataclass in the package."""
+
+    def to_json(self) -> dict:
+        return _to_json(self)
+
+
+@dataclass
+class StructureFlags(_JsonReport):
+    """Structural predicates of a square matrix at a given tolerance."""
+
+    hermitian: bool
+    positive_semidefinite: bool
+    positive_definite: bool
+    unitary: bool
+    invertible: bool
+    quasi_nilpotent: bool
+    tolerance_used: float
+
+
+def classify_structure(M: np.ndarray, tol: float = DEFAULT_TOL) -> StructureFlags:
+    """Evaluate the structural predicates used by the classification rules.
+
+    Hermitian and quasi-nilpotent checks are relative to max(1, ||M||_F);
+    unitarity compares M*M against I absolutely; invertibility uses the
+    standard numerical-rank cutoff smallest-singular > tol * largest.
+    """
+    require_square(M)
+    return _structure_flags(M, eigenvalues(M), tol)
+
+
+def _quasi_nilpotent(M: np.ndarray, eigs: np.ndarray, tol: float) -> bool:
+    """Every eigenvalue of M (given as ``eigs``) within tol * max(1, ||M||_F) of 0."""
+    return bool(np.all(np.abs(eigs) <= tol * max(1.0, frob(M))))
+
+
+def _structure_flags(M: np.ndarray, eigs: np.ndarray, tol: float) -> StructureFlags:
+    """``classify_structure`` for a square M whose eigenvalues ``eigs`` are known."""
+    n = M.shape[0]
+    scale = max(1.0, frob(M))
+
+    hermitian = frob(M - M.conj().T) <= tol * scale
+    psd = False
+    pd = False
+    if hermitian:
+        w = np.linalg.eigvalsh((M + M.conj().T) / 2.0)
+        psd = bool(w.min() >= -tol)
+        pd = bool(w.min() > tol)
+
+    _, s, _ = svd(M)
+    unitary = frob(M.conj().T @ M - np.eye(n)) <= tol
+    invertible = bool(s.size and s[-1] > tol * s[0])
+
+    return StructureFlags(
+        hermitian=hermitian,
+        positive_semidefinite=psd,
+        positive_definite=pd,
+        unitary=unitary,
+        invertible=invertible,
+        quasi_nilpotent=_quasi_nilpotent(M, eigs, tol),
+        tolerance_used=tol,
+    )

@@ -15,7 +15,7 @@ import numpy as np
 
 from .commutation import FactorReport, OperatorPair, detect_factor
 from .errors import InvalidParameter
-from .linalg import DEFAULT_TOL, complex_to_json, frob, matrix_to_json
+from .linalg import DEFAULT_TOL, _JsonReport, frob
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -197,7 +197,7 @@ def q_bracket(m: int, q: complex) -> complex:
 
 
 @dataclass
-class UqSl2Module:
+class UqSl2Module(_JsonReport):
     """Generator matrices of the simple (n+1)-dimensional representation.
 
     E is strictly upper bidiagonal, F strictly lower bidiagonal, K
@@ -212,20 +212,9 @@ class UqSl2Module:
     K: np.ndarray
     Kinv: np.ndarray
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "q": complex_to_json(self.q),
-            "eps": self.eps,
-            "E": matrix_to_json(self.E),
-            "F": matrix_to_json(self.F),
-            "K": matrix_to_json(self.K),
-            "Kinv": matrix_to_json(self.Kinv),
-        }
-
 
 @dataclass
-class RelationResiduals:
+class RelationResiduals(_JsonReport):
     """Relative residuals of the four defining relations, plus the
     factor-detection view of the K-E and K-F exchange rules."""
 
@@ -235,16 +224,6 @@ class RelationResiduals:
     ef_rel: float
     ke_factor: FactorReport
     kf_factor: FactorReport
-
-    def to_json(self) -> dict:
-        return {
-            "kk_inv": self.kk_inv,
-            "ke_rel": self.ke_rel,
-            "kf_rel": self.kf_rel,
-            "ef_rel": self.ef_rel,
-            "ke_factor": self.ke_factor.to_json(),
-            "kf_factor": self.kf_factor.to_json(),
-        }
 
 
 JANTZEN = "jantzen"
@@ -336,24 +315,11 @@ def uq_sl2_pair(n: int, q: complex, eps: int = 1) -> OperatorPair:
 
 
 @dataclass
-class RealizationSpec:
+class RealizationSpec(_JsonReport):
     """A serializable recipe: construction kind plus its parameters."""
 
     kind: str
     params: dict
-
-    def to_json(self) -> dict:
-        out: dict = {"kind": self.kind, "params": {}}
-        for key, value in self.params.items():
-            if isinstance(value, complex):
-                out["params"][key] = complex_to_json(value)
-            elif isinstance(value, (list, tuple)):
-                out["params"][key] = [
-                    complex_to_json(v) if isinstance(v, complex) else v for v in value
-                ]
-            else:
-                out["params"][key] = value
-        return out
 
 
 def build_realization(spec: RealizationSpec) -> OperatorPair:

@@ -22,12 +22,12 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    _JsonReport,
     as_matrix,
     eigenvalues,
     frob,
     hermitian_eig,
     is_hermitian,
-    matrix_to_json,
     require_square,
 )
 
@@ -119,19 +119,11 @@ def default_node_count(interval: tuple[float, float], epsilon: float) -> int:
 
 
 @dataclass
-class ProjectionResult:
+class ProjectionResult(_JsonReport):
     projection: np.ndarray
     epsilon_used: float
     quadrature_error_estimate: float
     exact_error: float | None
-
-    def to_json(self) -> dict:
-        return {
-            "projection": matrix_to_json(self.projection),
-            "epsilon_used": self.epsilon_used,
-            "quadrature_error_estimate": self.quadrature_error_estimate,
-            "exact_error": self.exact_error,
-        }
 
 
 def _quadrature_nodes(spec: StoneQuadratureSpec, nodes: int):
@@ -196,7 +188,7 @@ def stone_projection(A: np.ndarray, spec: StoneQuadratureSpec, tol: float = DEFA
 
 
 @dataclass
-class TransportedBoundReport:
+class TransportedBoundReport(_JsonReport):
     """Measured size of the factor-transported resolvent difference
     against its explicit bound 2 eps / (d^2 |lambda|^2).
 
@@ -210,16 +202,6 @@ class TransportedBoundReport:
     min_distance: float
     epsilon: float
     holds: bool
-
-    def to_json(self) -> dict:
-        return {
-            "gap_max": self.gap_max,
-            "integrand_max": self.integrand_max,
-            "bound": self.bound,
-            "min_distance": self.min_distance,
-            "epsilon": self.epsilon,
-            "holds": self.holds,
-        }
 
 
 def transported_integrand_bound(

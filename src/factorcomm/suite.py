@@ -7,6 +7,7 @@ data, not crashes: exceptions raised inside a trial are recorded as
 failures with the trigger inputs serialized.
 """
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -24,6 +25,7 @@ from .resolvent import (
     transported_integrand_bound,
 )
 from .linalg import (
+    _JsonReport,
     adjoint,
     classify_structure,
     complex_to_json,
@@ -71,31 +73,17 @@ class SuiteConfig:
 
 
 @dataclass
-class PropertyFailure:
+class PropertyFailure(_JsonReport):
     property_name: str
     counterexample: dict
     magnitude: float | None
 
-    def to_json(self) -> dict:
-        return {
-            "property_name": self.property_name,
-            "counterexample": self.counterexample,
-            "magnitude": self.magnitude,
-        }
-
 
 @dataclass
-class SuiteOutcome:
+class SuiteOutcome(_JsonReport):
     passed: int
     failed: int
     failures: list[PropertyFailure] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "failed": self.failed,
-            "failures": [f.to_json() for f in self.failures],
-        }
 
 
 # Each check returns (ok, counterexample, magnitude).
@@ -133,8 +121,14 @@ def _structured_pauli_tensor_pair(rng, max_dim: int) -> OperatorPair:
     return OperatorPair(A=A, B=B, label=f"pauli-tensor(m={m})")
 
 
+@functools.cache
+def _builtin_catalogue() -> tuple[OperatorPair, ...]:
+    """The builtin pairs, built once; no property mutates them."""
+    return tuple(realizations.builtin_pairs())
+
+
 def _builtin(rng) -> OperatorPair:
-    pairs = realizations.builtin_pairs()
+    pairs = _builtin_catalogue()
     return pairs[int(rng.integers(len(pairs)))]
 
 
@@ -640,46 +634,38 @@ FIXED_PROPERTIES = [
 
 def run_suite(cfg: SuiteConfig) -> SuiteOutcome:
     """Run every property; per-trial seeds derive from (seed, property
-    index, trial index) so results are independent of execution order."""
+    index, trial index) so results are independent of execution order.
+
+    Each job is (name, property, trial, seed); fixed properties run once,
+    with trial None, and their counterexamples carry no "trial" key.
+    """
+    jobs = [
+        (name, fn, trial, derive_seed(cfg.seed, p_index, trial))
+        for p_index, (name, fn) in enumerate(RANDOMIZED_PROPERTIES)
+        for trial in range(cfg.trials)
+    ] + [
+        (name, fn, None, derive_seed(cfg.seed, 10_000 + f_index))
+        for f_index, (name, fn) in enumerate(FIXED_PROPERTIES)
+    ]
     passed = 0
     failures: list[PropertyFailure] = []
-    for p_index, (name, fn) in enumerate(RANDOMIZED_PROPERTIES):
-        for trial in range(cfg.trials):
-            seed = derive_seed(cfg.seed, p_index, trial)
-            try:
-                ok, ctx, magnitude = fn(seed, cfg)
-            except FactorCommError as exc:
-                ok, ctx, magnitude = False, {"error": str(exc)}, None
-            if ok:
-                passed += 1
-            else:
-                failures.append(
-                    PropertyFailure(
-                        property_name=name,
-                        counterexample={"trial": trial, **ctx},
-                        magnitude=None
-                        if magnitude is None or not np.isfinite(magnitude)
-                        else float(magnitude),
-                    )
-                )
-    for f_index, (name, fn) in enumerate(FIXED_PROPERTIES):
-        seed = derive_seed(cfg.seed, 10_000 + f_index)
+    for name, fn, trial, seed in jobs:
         try:
             ok, ctx, magnitude = fn(seed, cfg)
         except FactorCommError as exc:
             ok, ctx, magnitude = False, {"error": str(exc)}, None
         if ok:
             passed += 1
-        else:
-            failures.append(
-                PropertyFailure(
-                    property_name=name,
-                    counterexample=ctx,
-                    magnitude=None
-                    if magnitude is None or not np.isfinite(magnitude)
-                    else float(magnitude),
-                )
+            continue
+        failures.append(
+            PropertyFailure(
+                property_name=name,
+                counterexample=ctx if trial is None else {"trial": trial, **ctx},
+                magnitude=None
+                if magnitude is None or not np.isfinite(magnitude)
+                else float(magnitude),
             )
+        )
     return SuiteOutcome(passed=passed, failed=len(failures), failures=failures)
 
 

@@ -101,6 +101,18 @@ def test_analyze_exit_codes(tmp_path, capsys):
     assert report["violations"]
 
 
+@pytest.mark.parametrize("lam", ["x", [1], [None, 1], {"a": 1}, [1, 2, 3]])
+def test_analyze_malformed_declared_lambda_exits_2(tmp_path, lam):
+    data = fc.OperatorPair(A=np.eye(2), B=fc.PAULI_X).to_json()
+    data["declared_lambda"] = lam
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(data))
+    proc = run_cli(["analyze", str(path)])
+    assert proc.returncode == 2
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+
+
 def test_intertwine_exit_codes(tmp_path, capsys):
     good = tmp_path / "itw.json"
     assert main(["generate", "--kind", "pauli-intertwiner", "--out", str(good)]) == 0

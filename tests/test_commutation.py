@@ -262,6 +262,25 @@ def test_nonunimodular_unique_pairs_have_nilpotent_product():
         assert np.abs(fc.eigenvalues(AB)).max() <= 1e-7 * np.linalg.norm(AB), pair.label
 
 
+def test_classify_pair_runs_each_decomposition_once(monkeypatch):
+    base = fc.clock_shift_pair(4)
+    U = random_unitary(rng_for(17), 4)
+    pair = fc.OperatorPair(A=U @ base.A @ U.conj().T, B=U @ base.B @ U.conj().T)
+    calls = {"eigvals": 0, "svd": 0}
+    for name in calls:
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    report = fc.classify_pair(pair)
+    assert report.factor.status == fc.UNIQUE
+    assert report.flags_A.invertible and report.flags_B.invertible
+    assert calls == {"eigvals": 4, "svd": 2}
+
+
 def test_factor_report_json_shape():
     report = fc.detect_factor(fc.OperatorPair(A=SX, B=SY))
     data = report.to_json()
