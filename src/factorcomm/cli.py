@@ -62,7 +62,7 @@ def _load_json_file(path: str):
             return json.load(handle)
     except OSError as exc:
         raise InvalidParameter(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad syntax or UTF-8, or an integer over the digit limit
         raise InvalidParameter(f"{path} is not valid JSON: {exc}") from exc
 
 

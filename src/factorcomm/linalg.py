@@ -8,6 +8,7 @@ norm is at most ``tol * max(1, scale)`` for the natural scale of the
 comparison.
 """
 
+import math
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
@@ -148,12 +149,18 @@ def complex_to_json(z: complex) -> list:
     return [float(np.real(z)), float(np.imag(z))]
 
 
+def _finite_number(x) -> bool:
+    """A JSON number, not a bool, that converts to a finite double."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer beyond the double range
+        return False
+
+
 def complex_from_json(obj) -> complex:
-    if (
-        not isinstance(obj, (list, tuple))
-        or len(obj) != 2
-        or not all(isinstance(x, (int, float)) and np.isfinite(x) for x in obj)
-    ):
+    if not isinstance(obj, (list, tuple)) or len(obj) != 2 or not all(map(_finite_number, obj)):
         raise InvalidParameter(f"expected [re, im] pair, got {obj!r}")
     return complex(obj[0], obj[1])
 

@@ -12,6 +12,7 @@ finite dimension, so all limits here are plain norm limits.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     EndpointOnSpectrum,
@@ -78,11 +79,14 @@ def exact_projection(
     if not a < b:
         raise InvalidParameter(f"need a < b, got [{a}, {b}]")
     w, U = hermitian_eig(A, tol)
-    guard = tol * max(1.0, frob(A))
+    return _projection_from_eig(w, U, a, b, tol * max(1.0, frob(A)))
+
+
+def _projection_from_eig(w: np.ndarray, U: np.ndarray, a: float, b: float, guard: float) -> np.ndarray:
+    """``exact_projection`` from a known ``hermitian_eig`` pair (w, U)."""
     if np.any(np.abs(w - a) <= guard) or np.any(np.abs(w - b) <= guard):
         raise EndpointOnSpectrum(f"an eigenvalue lies on an endpoint of [{a}, {b}]")
-    inside = (w > a) & (w < b)
-    cols = U[:, inside]
+    cols = U[:, (w > a) & (w < b)]
     return cols @ cols.conj().T
 
 
@@ -126,6 +130,30 @@ class ProjectionResult(_JsonReport):
     exact_error: float | None
 
 
+# Nodes go through the Stone kernel in chunks whose (n, n, chunk) block of
+# resolvents stays within this many bytes, so memory is O(chunk * n^2).
+_CHUNK_BYTES = 1 << 24
+
+
+def _gauss_legendre(nodes: int):
+    """Gauss-Legendre nodes and weights on [-1, 1] in O(nodes^2).
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix, refined
+    by one Newton step on the three-term recurrence; the weights are
+    2 / ((1 - x^2) P_N'(x)^2), a form insensitive to rounding of the node.
+    """
+    k = np.arange(1.0, nodes)
+    x = scipy.linalg.eigvalsh_tridiagonal(np.zeros(nodes), k / np.sqrt(4.0 * k * k - 1.0))
+    p_prev, p = np.ones_like(x), x
+    for j in range(1, nodes):
+        p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+    dp = nodes * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
+    x = x - p / dp
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp**2)
+    x, w = (x - x[::-1]) / 2.0, (w + w[::-1]) / 2.0
+    return x, w * (2.0 / w.sum())
+
+
 def _quadrature_nodes(spec: StoneQuadratureSpec, nodes: int):
     a, b = map(float, spec.interval)
     if spec.rule == TRAPEZOID:
@@ -134,21 +162,46 @@ def _quadrature_nodes(spec: StoneQuadratureSpec, nodes: int):
         w = np.full(nodes, h)
         w[0] = w[-1] = h / 2.0
         return t, w
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = _gauss_legendre(nodes)
     mid, half = (a + b) / 2.0, (b - a) / 2.0
     return mid + half * x, half * w
 
 
-def _resolvent_difference_sum(A: np.ndarray, t: np.ndarray, weights: np.ndarray, eps: float) -> np.ndarray:
-    """Sum of weights * [R(t + i eps) - R(t - i eps)] / (2 pi i), batched."""
-    n = A.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-    shifts_plus = A[None, :, :] - (t + 1j * eps)[:, None, None] * eye[None, :, :]
-    shifts_minus = A[None, :, :] - (t - 1j * eps)[:, None, None] * eye[None, :, :]
-    r_plus = np.linalg.solve(shifts_plus, np.broadcast_to(eye, shifts_plus.shape))
-    r_minus = np.linalg.solve(shifts_minus, np.broadcast_to(eye, shifts_minus.shape))
-    integrand = (r_plus - r_minus) / (2j * np.pi)
-    return np.einsum("k,kij->ij", weights.astype(np.complex128), integrand)
+def _tridiagonal_inverses(d: np.ndarray, e: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """X[i, j, k] = (T - z_k)^-1 [i, j] for Hermitian tridiagonal T with real
+    diagonal d and subdiagonal e: an LU sweep without pivoting, one Python
+    loop over the rows, vectorised over the nodes.  For Im z_k > 0 every
+    pivot has Im u_i <= -Im z_k, so the sweep cannot break down."""
+    n = d.size
+    sup = e.conj()
+    inv_u = np.empty((n, z.size), dtype=np.complex128)
+    neg_l = np.empty_like(inv_u)
+    inv_u[0] = 1.0 / (d[0] - z)
+    for i in range(1, n):
+        neg_l[i] = -e[i - 1] * inv_u[i - 1]
+        inv_u[i] = 1.0 / (d[i] - z + neg_l[i] * sup[i - 1])
+    X = np.zeros((n, n, z.size), dtype=np.complex128)
+    X[0, 0] = 1.0
+    for i in range(1, n):  # L^-1, row by row
+        np.multiply(X[i - 1, :i], neg_l[i], out=X[i, :i])
+        X[i, i] = 1.0
+    X[n - 1] *= inv_u[n - 1]
+    for i in range(n - 2, -1, -1):  # U^-1 L^-1
+        X[i] -= sup[i] * X[i + 1]
+        X[i] *= inv_u[i]
+    return X
+
+
+def _resolvent_sums(d: np.ndarray, e: np.ndarray, z: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k weights[r, k] (T - z_k)^-1 for each row r of ``weights``, shape
+    (rows, n, n), taking the nodes in chunks of at most _CHUNK_BYTES."""
+    n = d.size
+    chunk = max(1, _CHUNK_BYTES // (16 * n * n))
+    sums = np.zeros((n * n, weights.shape[0]), dtype=np.complex128)
+    for start in range(0, z.size, chunk):
+        stop = min(start + chunk, z.size)
+        sums += _tridiagonal_inverses(d, e, z[start:stop]).reshape(n * n, -1) @ weights[:, start:stop].T
+    return sums.T.reshape(-1, n, n)
 
 
 def stone_projection(A: np.ndarray, spec: StoneQuadratureSpec, tol: float = DEFAULT_TOL) -> ProjectionResult:
@@ -158,31 +211,35 @@ def stone_projection(A: np.ndarray, spec: StoneQuadratureSpec, tol: float = DEFA
     Poisson average, an O(eps) perturbation away from the endpoints; the
     quadrature error is estimated by re-evaluating on half the nodes.
     ``exact_error`` compares against the eigendecomposition oracle.
+
+    The Hermitian part of A is reduced once to tridiagonal T = Q* A Q.
+    For Hermitian T, R(t - i eps) = R(t + i eps)*, so the integrand is
+    (S - S*) / 2 pi i with S the weighted sum of (T - t_k - i eps)^-1,
+    and both grids go through one sweep per node.
     """
     A = as_matrix(A)
     if not is_hermitian(A, tol):
         raise NotHermitian("the projection route requires a Hermitian matrix")
     a, b = map(float, spec.interval)
-    eigs = np.linalg.eigvalsh((A + A.conj().T) / 2.0)
+    eigs, U = hermitian_eig(A, tol)
     delta = 10.0 * spec.epsilon
     if np.any(np.abs(eigs - a) <= delta) or np.any(np.abs(eigs - b) <= delta):
         raise EndpointOnSpectrum(
             f"endpoints of [{a}, {b}] must be at distance > {delta:.3e} from the spectrum"
         )
+    exact = _projection_from_eig(eigs, U, a, b, tol * max(1.0, frob(A)))
 
     t, w = _quadrature_nodes(spec, spec.nodes)
-    proj = _resolvent_difference_sum(A, t, w, spec.epsilon)
+    t2, w2 = _quadrature_nodes(spec, max(16, (spec.nodes + 1) // 2))
+    T, Q = scipy.linalg.hessenberg((A + A.conj().T) / 2.0, calc_q=True)
+    z = np.concatenate([t, t2]) + 1j * spec.epsilon
+    S = _resolvent_sums(T.diagonal().real, T.diagonal(-1), z, scipy.linalg.block_diag(w, w2))
+    proj, proj_coarse = Q @ ((S - S.conj().transpose(0, 2, 1)) / (2j * np.pi)) @ Q.conj().T
 
-    coarse_nodes = max(16, (spec.nodes + 1) // 2)
-    t2, w2 = _quadrature_nodes(spec, coarse_nodes)
-    proj_coarse = _resolvent_difference_sum(A, t2, w2, spec.epsilon)
-    quad_estimate = frob(proj - proj_coarse)
-
-    exact = exact_projection(A, (a, b), tol)
     return ProjectionResult(
         projection=proj,
         epsilon_used=spec.epsilon,
-        quadrature_error_estimate=quad_estimate,
+        quadrature_error_estimate=frob(proj - proj_coarse),
         exact_error=frob(proj - exact),
     )
 

@@ -113,6 +113,41 @@ def test_analyze_malformed_declared_lambda_exits_2(tmp_path, lam):
     assert "Traceback" not in proc.stderr
 
 
+BIG_INT = "1" + "0" * 400  # exceeds the double range
+HUGE_INT = "1" + "0" * 5000  # exceeds Python's integer digit limit for parsing
+
+
+@pytest.mark.parametrize(
+    "field, literal",
+    [
+        ("data", f"[{BIG_INT}, 0]"),
+        ("declared_lambda", f"[{BIG_INT}, 0]"),
+        ("data", "[true, 0]"),
+        ("declared_lambda", "[1, false]"),
+        ("data", f"[{HUGE_INT}, 0]"),
+    ],
+    ids=["big-int-data", "big-int-lambda", "bool-data", "bool-lambda", "huge-int-data"],
+)
+def test_analyze_unrepresentable_json_numbers_exit_2(tmp_path, capsys, field, literal):
+    data = fc.OperatorPair(A=np.eye(2), B=fc.PAULI_X).to_json()
+    if field == "data":
+        data["A"]["data"][0] = "@"
+    else:
+        data["declared_lambda"] = "@"
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(data).replace('"@"', literal))
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_analyze_invalid_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "pair.json"
+    path.write_bytes(b"\xff{")
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_intertwine_exit_codes(tmp_path, capsys):
     good = tmp_path / "itw.json"
     assert main(["generate", "--kind", "pauli-intertwiner", "--out", str(good)]) == 0

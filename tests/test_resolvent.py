@@ -1,5 +1,8 @@
 """Resolvent evaluation, spectral projections and the quadrature limit."""
 
+import importlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,10 @@ from factorcomm.errors import (
     SpectrumHit,
 )
 from factorcomm.resolvent import resolvent as resolvent_at
-from factorcomm.sampling import random_hermitian, random_psd, rng_for
+from factorcomm.sampling import random_hermitian, random_psd, random_unitary, rng_for
+
+# the package re-exports the function ``resolvent`` under the module's name
+resolvent_mod = importlib.import_module("factorcomm.resolvent")
 
 DIAG123 = np.diag([1.0, 2.0, 3.0]).astype(complex)
 
@@ -168,6 +174,110 @@ def test_stone_gauss_legendre_rule_runs():
     )
     result = fc.stone_projection(DIAG123, spec)
     assert result.exact_error <= 3.0 * 2e-2
+
+
+STONE_INTERVAL = (-0.25, 0.35)
+
+
+def dense_stone_sum(A, t, w, eps):
+    """The two-solve dense Stone sum, kept as the reference for the kernel."""
+    eye = np.eye(A.shape[0], dtype=complex)
+    shifts = A[None, :, :] - t[:, None, None] * eye
+    plus = np.linalg.solve(shifts - 1j * eps * eye, np.broadcast_to(eye, shifts.shape))
+    minus = np.linalg.solve(shifts + 1j * eps * eye, np.broadcast_to(eye, shifts.shape))
+    return np.einsum("k,kij->ij", w, plus - minus) / (2j * np.pi)
+
+
+def guarded_hermitian(rng, n, eps):
+    """U diag U* with eigenvalues in [-1, 1] kept 15 eps from STONE_INTERVAL's
+    endpoints; the product is Hermitian only up to rounding."""
+    eigs = rng.uniform(-1.0, 1.0, 4 * n + 8)
+    eigs = eigs[np.abs(eigs[:, None] - np.array(STONE_INTERVAL)).min(axis=1) > 15 * eps][:n]
+    U = random_unitary(rng, n)
+    return (U * eigs) @ U.conj().T
+
+
+def assert_matches_dense_route(A, spec):
+    """Both routes round at about u * ||A|| / eps relative to the sums they
+    form, so they must agree to max(1e-12, 5 u ||A|| / eps) of those sums."""
+    result = fc.stone_projection(A, spec)
+    fine, coarse = (
+        dense_stone_sum(A, *resolvent_mod._quadrature_nodes(spec, m), spec.epsilon)
+        for m in (spec.nodes, max(16, (spec.nodes + 1) // 2))
+    )
+    rtol = max(1e-12, 5 * np.finfo(float).eps * np.linalg.norm(A, 2) / spec.epsilon)
+    assert np.linalg.norm(result.projection - fine) <= rtol * max(1.0, np.linalg.norm(fine))
+    # an under-resolved coarse grid (a node within ~eps of an eigenvalue)
+    # can make the coarse sum much larger than the projection
+    scale = max(1.0, np.linalg.norm(fine), np.linalg.norm(coarse))
+    assert abs(result.quadrature_error_estimate - np.linalg.norm(fine - coarse)) <= rtol * scale
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 64])
+def test_stone_kernel_matches_dense_route(n):
+    rng = rng_for(1200, n)
+    for eps in (1e-2, 1e-3, 1e-4):
+        M = guarded_hermitian(rng, n, eps)
+        A = (M + M.conj().T) / 2.0
+        for nodes in (200, 201):
+            for rule in ("trapezoid", "gauss-legendre"):
+                assert_matches_dense_route(A, fc.StoneQuadratureSpec(STONE_INTERVAL, eps, nodes, rule))
+
+
+def test_stone_kernel_matches_dense_route_on_nearly_hermitian_input():
+    A = guarded_hermitian(rng_for(1300), 16, 1e-3)
+    assert np.linalg.norm(A - A.conj().T) > 0 and fc.linalg.is_hermitian(A)
+    assert_matches_dense_route(A, fc.StoneQuadratureSpec(STONE_INTERVAL, 1e-3, 301))
+
+
+def test_stone_kernel_chunking_does_not_change_the_sum(monkeypatch):
+    A = guarded_hermitian(rng_for(1400), 8, 1e-3)
+    spec = fc.StoneQuadratureSpec(STONE_INTERVAL, 1e-3, 301)
+    whole = fc.stone_projection(A, spec)
+    # 7 nodes per chunk: 452 nodes in 65 chunks, the last one partial
+    monkeypatch.setattr(resolvent_mod, "_CHUNK_BYTES", 7 * 16 * 8 * 8)
+    chunked = fc.stone_projection(A, spec)
+    assert np.linalg.norm(whole.projection - chunked.projection) <= 1e-13
+    assert whole.quadrature_error_estimate == pytest.approx(chunked.quadrature_error_estimate, rel=1e-12)
+
+
+def test_stone_projection_memory_is_bounded():
+    # a memory check, not a timing gate: the dense route peaked at ~625 MB here
+    A = guarded_hermitian(rng_for(1500), 64, 1e-3)
+    spec = fc.StoneQuadratureSpec(STONE_INTERVAL, 1e-3, 2000)
+    tracemalloc.start()
+    try:
+        fc.stone_projection(A, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128e6
+
+
+def test_stone_projection_runs_one_hermitian_eigendecomposition(monkeypatch):
+    calls = {"eigh": 0, "eigvalsh": 0, "eig": 0, "eigvals": 0}
+    for name in calls:
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    fc.stone_projection(DIAG123, fc.StoneQuadratureSpec(interval=(1.5, 2.5), epsilon=1e-3, nodes=100))
+    assert calls == {"eigh": 1, "eigvalsh": 0, "eig": 0, "eigvals": 0}
+
+
+@pytest.mark.parametrize("nodes", [16, 100, 1000])
+def test_gauss_legendre_nodes_match_leggauss(nodes):
+    x, w = resolvent_mod._gauss_legendre(nodes)
+    x_ref, w_ref = np.polynomial.legendre.leggauss(nodes)
+    assert np.abs(x - x_ref).max() <= 1e-13
+    # Relative to the largest weight: at nodes=1000 leggauss's own outermost
+    # weights are off by ~8e-9 relative (50-digit check), these by ~2e-11.
+    assert np.abs(w - w_ref).max() <= 1e-10 * w_ref.max()
+    for k in (0, 2, 10):  # exact for degree < 2 * nodes
+        assert abs(np.sum(w * x**k) - 2.0 / (k + 1)) <= 1e-13
 
 
 def test_transported_bound_examples():
