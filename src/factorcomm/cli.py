@@ -13,6 +13,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .commutation import OperatorPair, classify_pair, solve_lambda_commutant
 from .errors import (
     ConditionFailed,
@@ -216,7 +218,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
+    except (FloatingPointError, OverflowError) as exc:  # numpy under the errstate, or Python float arithmetic
+        print(f"error: out of floating-point range: {exc}", file=sys.stderr)
+        return 2
     except ConditionFailed as exc:
         print(f"condition failed: {exc}", file=sys.stderr)
         return 1

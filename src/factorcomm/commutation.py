@@ -7,11 +7,10 @@ quasi-nilpotency of the product) and verifies the fitted factor against
 each of them.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DimensionMismatch, InvalidParameter, NotNormal
 from .linalg import (
@@ -181,6 +180,7 @@ def _fit_factor(pair: OperatorPair, AB: np.ndarray, BA: np.ndarray, tol: float) 
 
 
 def _assignment_match(left: np.ndarray, right: np.ndarray, tol: float) -> SpectrumMatchReport:
+    from scipy.optimize import linear_sum_assignment  # scipy loads on first use, not on import
     cost = np.abs(left[:, None] - right[None, :])
     rows, cols = linear_sum_assignment(cost)
     max_dist = float(cost[rows, cols].max()) if rows.size else 0.0
@@ -215,6 +215,32 @@ def spectrum_swap_check(pair: OperatorPair, tol: float = DEFAULT_TOL) -> Spectru
     return _assignment_match(eigenvalues(pair.A @ pair.B), eigenvalues(pair.B @ pair.A), tol)
 
 
+def _power_of_two_normalised(M: np.ndarray) -> tuple[np.ndarray, int]:
+    """M times 2**-e, with e chosen so its largest entry lies in [0.5, 1).
+
+    Scaling by a power of two is exact, so products formed from the result
+    equal the unscaled ones times 2**e bit for bit, as long as neither
+    leaves the normal double range.
+    """
+    _, e = math.frexp(float(np.abs(M).max()))
+    return np.ldexp(M.view(np.float64), -e).view(np.complex128), e
+
+
+def _nonzero_text(value: complex, exponent: int, tol: float) -> str | None:
+    """'.6g' text of value * 2**exponent if its modulus exceeds tol, else None."""
+    try:
+        scaled = complex(math.ldexp(value.real, exponent), math.ldexp(value.imag, exponent))
+        return f"{scaled:.6g}" if abs(scaled) > tol else None
+    except OverflowError:
+        return _beyond_range_text(value / abs(value), math.log10(abs(value)) + exponent * math.log10(2.0))
+
+
+def _beyond_range_text(unit: complex, log10_abs: float) -> str:
+    """unit * 10**log10_abs as '(mantissa)e+exponent' with a '.6g' mantissa."""
+    exponent = math.floor(log10_abs)
+    return f"({unit * 10.0 ** (log10_abs - exponent):.6g})e{exponent:+d}"
+
+
 def trace_det_constraints(
     pair: OperatorPair, kmax: int, tol: float = DEFAULT_TOL
 ) -> list[LambdaConstraint]:
@@ -222,37 +248,56 @@ def trace_det_constraints(
 
     A nonzero tr[A B^k] or tr[A^k B] forces lambda = 1; a nonzero
     det(AB) forces lambda^n = 1.  Magnitudes are reported so callers can
-    judge borderline cases.
+    judge borderline cases.  The powers are rescaled by powers of two and
+    the determinant is taken from its logarithm, so nothing overflows when
+    A^k, B^k or det(AB) exceed the double range; a value beyond it is
+    reported as '(mantissa)e+exponent'.
     """
     if kmax < 1:
         raise InvalidParameter("kmax must be at least 1")
     A, B = pair.A, pair.B
     n = pair.dim
     out: list[LambdaConstraint] = []
-    Bk = np.eye(n, dtype=np.complex128)
-    Ak = np.eye(n, dtype=np.complex128)
+    # One step multiplies the largest entry of a power by at most n times
+    # the Frobenius norm of A or B, so a power rescaled below 1 stays below
+    # 2**512 for `period` steps; most pairs are never rescaled.
+    growth = n * math.sqrt(max(np.vdot(A, A).real, np.vdot(B, B).real))
+    period = max(1, int(512 / math.log2(max(2.0, growth))))
+    Bk = Ak = np.eye(n, dtype=np.complex128)
+    eB = eA = 0  # B^k = Bk * 2**eB and A^k = Ak * 2**eA
     for k in range(1, kmax + 1):
         Bk = Bk @ B
         Ak = Ak @ A
-        for trace, name in (
-            (complex(np.trace(A @ Bk)), f"tr[A B^{k}]"),
-            (complex(np.trace(Ak @ B)), f"tr[A^{k} B]"),
+        if k % period == 0:
+            Bk, e = _power_of_two_normalised(Bk)
+            eB += e
+            Ak, e = _power_of_two_normalised(Ak)
+            eA += e
+        for trace, exponent, name in (
+            (complex((A @ Bk).trace()), eB, f"tr[A B^{k}]"),
+            (complex((Ak @ B).trace()), eA, f"tr[A^{k} B]"),
         ):
-            if abs(trace) > tol:
+            text = _nonzero_text(trace, exponent, tol)
+            if text is not None:
                 out.append(
                     LambdaConstraint(
                         kind="one",
                         constraint="lambda = 1",
-                        source=f"nonzero trace {name} = {trace:.6g}",
+                        source=f"nonzero trace {name} = {text}",
                     )
                 )
-    det = complex(np.linalg.det(A @ B))
-    if abs(det) > tol:
+    sign, logdet = np.linalg.slogdet(A @ B)
+    try:
+        det = complex(sign * math.exp(logdet))  # what np.linalg.det returns, bit for bit
+        text = f"{det:.6g}" if abs(det) > tol else None
+    except OverflowError:
+        text = _beyond_range_text(complex(sign), logdet / math.log(10.0))
+    if text is not None:
         out.append(
             LambdaConstraint(
                 kind="nth-root",
                 constraint=f"lambda^{n} = 1",
-                source=f"nonzero det(AB) = {det:.6g}",
+                source=f"nonzero det(AB) = {text}",
                 order=n,
             )
         )
@@ -427,6 +472,7 @@ def solve_lambda_commutant(
     scale = max(1.0, frob(A))
     if frob(A @ A.conj().T - A.conj().T @ A) > tol * scale * scale:
         raise NotNormal("matrix is not normal within tolerance")
+    import scipy.linalg
     T, Z = scipy.linalg.schur(A, output="complex")
     diag = np.diagonal(T)
     basis: list[np.ndarray] = []

@@ -181,7 +181,7 @@ def matrix_from_json(obj) -> np.ndarray:
         rows = int(obj["rows"])
         cols = int(obj["cols"])
         data = obj["data"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidParameter(f"malformed matrix JSON: {exc}") from exc
     if rows < 1 or cols < 1:
         raise InvalidParameter("matrix dimensions must be positive")

@@ -325,24 +325,27 @@ class RealizationSpec(_JsonReport):
 def build_realization(spec: RealizationSpec) -> OperatorPair:
     """Dispatch a RealizationSpec to its constructor."""
     kind, p = spec.kind, spec.params
-    if kind == CLOCK_SHIFT:
-        return clock_shift_pair(int(p["n"]))
-    if kind == CYCLIC_SHIFT_DIAG:
-        return cyclic_shift_diag_pair(int(p["n"]), p["lambda"])
-    if kind == NILPOTENT_DIAG:
-        return nilpotent_diag_pair(
-            p["betas"], int(p["pivot"]), p["lambda"], solve_pivot=bool(p.get("solve_pivot", False))
-        )
-    if kind == JORDAN2:
-        return jordan_pair(2, p.get("x", 1.0), p.get("y", 0.0), 0.0, p["lambda"])
-    if kind == JORDAN3:
-        return jordan_pair(3, p.get("x", 1.0), p.get("y", 0.0), p.get("z", 0.0), p["lambda"])
-    if kind == PAULI_XY:
-        return pauli_pair(PAULI_XY)
-    if kind == PAULI_INTERTWINER:
-        return pauli_pair(PAULI_INTERTWINER)
-    if kind == UQ_SL2:
-        return uq_sl2_pair(int(p["n"]), p["q"], int(p.get("eps", 1)))
+    try:
+        if kind == CLOCK_SHIFT:
+            return clock_shift_pair(int(p["n"]))
+        if kind == CYCLIC_SHIFT_DIAG:
+            return cyclic_shift_diag_pair(int(p["n"]), p["lambda"])
+        if kind == NILPOTENT_DIAG:
+            return nilpotent_diag_pair(
+                p["betas"], int(p["pivot"]), p["lambda"], solve_pivot=bool(p.get("solve_pivot", False))
+            )
+        if kind == JORDAN2:
+            return jordan_pair(2, p.get("x", 1.0), p.get("y", 0.0), 0.0, p["lambda"])
+        if kind == JORDAN3:
+            return jordan_pair(3, p.get("x", 1.0), p.get("y", 0.0), p.get("z", 0.0), p["lambda"])
+        if kind == PAULI_XY:
+            return pauli_pair(PAULI_XY)
+        if kind == PAULI_INTERTWINER:
+            return pauli_pair(PAULI_INTERTWINER)
+        if kind == UQ_SL2:
+            return uq_sl2_pair(int(p["n"]), p["q"], int(p.get("eps", 1)))
+    except KeyError as exc:
+        raise InvalidParameter(f"realization kind {kind!r} needs parameter {exc.args[0]!r}") from None
     raise InvalidParameter(f"unknown realization kind {kind!r}; known: {', '.join(KINDS)}")
 
 

@@ -12,7 +12,6 @@ finite dimension, so all limits here are plain norm limits.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     EndpointOnSpectrum,
@@ -142,6 +141,7 @@ def _gauss_legendre(nodes: int):
     by one Newton step on the three-term recurrence; the weights are
     2 / ((1 - x^2) P_N'(x)^2), a form insensitive to rounding of the node.
     """
+    import scipy.linalg  # scipy loads on first use, not on import
     k = np.arange(1.0, nodes)
     x = scipy.linalg.eigvalsh_tridiagonal(np.zeros(nodes), k / np.sqrt(4.0 * k * k - 1.0))
     p_prev, p = np.ones_like(x), x
@@ -231,6 +231,7 @@ def stone_projection(A: np.ndarray, spec: StoneQuadratureSpec, tol: float = DEFA
 
     t, w = _quadrature_nodes(spec, spec.nodes)
     t2, w2 = _quadrature_nodes(spec, max(16, (spec.nodes + 1) // 2))
+    import scipy.linalg
     T, Q = scipy.linalg.hessenberg((A + A.conj().T) / 2.0, calc_q=True)
     z = np.concatenate([t, t2]) + 1j * spec.epsilon
     S = _resolvent_sums(T.diagonal().real, T.diagonal(-1), z, scipy.linalg.block_diag(w, w2))

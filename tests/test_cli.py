@@ -1,8 +1,10 @@
 """Command-line interface: subcommands, exit codes, JSON contracts."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,3 +243,130 @@ def test_generate_byte_identical_across_processes():
     second = run_cli(["generate", "--kind", "uq-sl2", "--n", "3", "--q", "1.3,0.7"])
     assert first.returncode == 0
     assert first.stdout == second.stdout
+
+
+def test_generate_missing_parameter_exits_2(capsys):
+    assert main(["generate", "--kind", "clock-shift"]) == 2
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == ["error: realization kind 'clock-shift' needs parameter 'n'"]
+
+
+LAZY_SCIPY_SCRIPT = """
+import json, os, sys
+import factorcomm, factorcomm.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+work = sys.argv[1]
+pair, diag = os.path.join(work, "pair.json"), os.path.join(work, "diag.json")
+after_import = scipy_modules()
+codes = [cli.main(["generate", "--kind", "clock-shift", "--n", "4", "--out", pair]),
+         cli.main(["generate", "--kind", "clock-shift"])]
+after_generate = scipy_modules()
+with open(diag, "w") as handle:
+    json.dump(factorcomm.matrix_to_json([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]]), handle)
+codes += [cli.main(["analyze", pair]),
+          cli.main(["stone", diag, "--a", "1.5", "--b", "2.5", "--nodes", "400"]),
+          cli.main(["commutant", diag, "--lambda", "1"])]
+print(json.dumps({"after_import": after_import, "after_generate": after_generate,
+                  "codes": codes, "at_exit": scipy_modules()}))
+"""
+
+
+def test_import_and_generate_load_no_scipy(tmp_path):
+    """scipy is imported inside the functions that call it, so start-up,
+    generate and error paths pay only for numpy."""
+    src = str(Path(fc.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_SCIPY_SCRIPT, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["after_import"] == []
+    assert result["after_generate"] == []
+    assert result["codes"] == [0, 2, 0, 0, 0]
+    assert {"scipy.linalg", "scipy.optimize"} <= set(result["at_exit"])
+
+
+def test_solve_lambda_commutant_looks_up_schur_at_call_time(monkeypatch):
+    import scipy.linalg
+
+    calls = []
+    schur = scipy.linalg.schur
+
+    def counting_schur(*args, **kwargs):
+        calls.append(args)
+        return schur(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
+    basis = fc.solve_lambda_commutant(np.diag([1.0, 2.0]).astype(complex), 2.0)
+    assert len(calls) == 1
+    assert len(basis) == 1
+
+
+def _pair_file(tmp_path, A, B):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(fc.OperatorPair(A=A, B=B).to_json()))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "scale_A, scale_B",
+    [(1e80, 1.0), (1e160, 1.0), (1e-160, 1e-160)],
+    ids=["A-1e80", "A-1e160", "both-1e-160"],
+)
+def test_analyze_out_of_range_clock_shift_exits_2_with_one_line(tmp_path, capsys, scale_A, scale_B):
+    pair = fc.clock_shift_pair(4)
+    path = _pair_file(tmp_path, scale_A * pair.A, scale_B * pair.B)
+    assert main(["analyze", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.err.startswith("error: out of floating-point range: ")
+
+
+def test_analyze_entries_near_double_max_exit_2_with_one_line(tmp_path, capsys):
+    big = np.full((2, 2), 1e308, dtype=complex)
+    assert main(["analyze", _pair_file(tmp_path, big, big)]) == 2
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == ["error: out of floating-point range: overflow encountered in matmul"]
+
+
+def test_generate_overflowing_parameter_exits_2_with_one_line(capsys):
+    assert main(["generate", "--kind", "jordan3", "--lambda", "1e308", "--x", "1e308"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: out of floating-point range: ")
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e50])
+def test_analyze_large_but_representable_pair_prints_a_report(tmp_path, capsys, scale):
+    pair = fc.clock_shift_pair(4)
+    code = main(["analyze", _pair_file(tmp_path, scale * pair.A, pair.B)])
+    captured = capsys.readouterr()
+    assert code in (0, 1)
+    assert captured.err == ""
+    assert json.loads(captured.out)["status"] == "UNIQUE"
+
+
+@pytest.mark.parametrize("n", [99, 200])
+def test_analyze_pair_whose_powers_and_det_exceed_double_range_prints_a_report(tmp_path, capsys, n):
+    """A = B = diag(1..n): the entries are small, but det(AB) = (n!)^2 and,
+    for n = 200, tr[A B^k] pass 1e308; the trace and determinant rules keep
+    their intermediates in range, so the pair is classified, not refused."""
+    D = np.diag(np.arange(1.0, n + 1)).astype(complex)
+    assert main(["analyze", _pair_file(tmp_path, D, D)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["status"] == "UNIQUE"
+    assert abs(complex(*report["lambda_hat"]) - 1.0) <= 1e-12
+    sources = [c["source"] for c in report["constraints"]]
+    assert sum(s.startswith("nonzero trace ") for s in sources) == 2 * n
+    expected_det = {99: "(8.70978+0j)e+311", 200: "(6.21981+0j)e+749"}[n]
+    assert sources[-1] == f"nonzero det(AB) = {expected_det}"
+    if n == 200:
+        assert f"nonzero trace tr[A B^{n}] = (5.05379+0j)e+462" in sources

@@ -136,6 +136,26 @@ def test_trace_det_constraints_examples():
     assert abs(lam**4 - 1.0) <= 1e-12
 
 
+def test_trace_det_constraints_match_unscaled_powers_in_range():
+    """Powers are rescaled by powers of two, which is exact: while A^k,
+    B^k and det(AB) stay in range, every reported digit equals the one
+    from plain repeated products and np.linalg.det.  With entries near
+    1e18 the powers are rescaled at k = 7, so k = 7..12 use them."""
+    rng = rng_for(21)
+    A, B = 1e18 * ginibre(rng, 6), 1e18 * ginibre(rng, 6)
+    tol = 1e-9
+    expected = []
+    Ak = Bk = np.eye(6, dtype=complex)
+    for k in range(1, 13):
+        Bk, Ak = Bk @ B, Ak @ A
+        for trace, name in ((complex(np.trace(A @ Bk)), f"tr[A B^{k}]"), (complex(np.trace(Ak @ B)), f"tr[A^{k} B]")):
+            if abs(trace) > tol:
+                expected.append(f"nonzero trace {name} = {trace:.6g}")
+    expected.append(f"nonzero det(AB) = {complex(np.linalg.det(A @ B)):.6g}")
+    constraints = fc.trace_det_constraints(fc.OperatorPair(A=A, B=B), kmax=12, tol=tol)
+    assert [c.source for c in constraints] == expected
+
+
 def test_classify_pair_pauli():
     report = fc.classify_pair(fc.OperatorPair(A=SX, B=SY))
     assert report.consistent
