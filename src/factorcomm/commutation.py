@@ -9,6 +9,7 @@ each of them.
 
 import math
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -19,12 +20,14 @@ from .linalg import (
     _JsonReport,
     _quasi_nilpotent,
     _structure_flags,
+    adjoint,
     as_matrix,
     complex_from_json,
     eigenvalues,
     frob,
     matrix_from_json,
     require_square,
+    singular_values,
 )
 from .sampling import ginibre, rng_for
 
@@ -184,8 +187,9 @@ def _assignment_match(left: np.ndarray, right: np.ndarray, tol: float) -> Spectr
     cost = np.abs(left[:, None] - right[None, :])
     rows, cols = linear_sum_assignment(cost)
     max_dist = float(cost[rows, cols].max()) if rows.size else 0.0
+    scale = float(np.abs(np.concatenate((left, right))).max(initial=1.0))
     return SpectrumMatchReport(
-        matched=bool(max_dist <= tol),
+        matched=bool(max_dist <= tol * scale),
         max_pair_distance=max_dist,
         assignment=list(zip(rows.tolist(), cols.tolist())),
     )
@@ -198,7 +202,8 @@ def spectrum_rotation_check(
 
     Optimal assignment (Hungarian method) between S and lambda * S; greedy
     sorted matching fails on near-degenerate rotated spectra, assignment
-    does not.
+    does not.  The spectra match when every assigned pair lies within
+    tol * max(1, largest modulus in S or lambda * S).
     """
     if lam == 0:
         raise InvalidParameter("rotation factor must be nonzero")
@@ -210,20 +215,10 @@ def spectrum_swap_check(pair: OperatorPair, tol: float = DEFAULT_TOL) -> Spectru
     """Match the eigenvalue multisets of AB and BA.
 
     For square factors of equal dimension the two products share their full
-    characteristic polynomial, so the whole multisets must agree.
+    characteristic polynomial, so the whole multisets must agree: every
+    assigned pair within tol * max(1, largest eigenvalue modulus).
     """
     return _assignment_match(eigenvalues(pair.A @ pair.B), eigenvalues(pair.B @ pair.A), tol)
-
-
-def _power_of_two_normalised(M: np.ndarray) -> tuple[np.ndarray, int]:
-    """M times 2**-e, with e chosen so its largest entry lies in [0.5, 1).
-
-    Scaling by a power of two is exact, so products formed from the result
-    equal the unscaled ones times 2**e bit for bit, as long as neither
-    leaves the normal double range.
-    """
-    _, e = math.frexp(float(np.abs(M).max()))
-    return np.ldexp(M.view(np.float64), -e).view(np.complex128), e
 
 
 def _nonzero_text(value: complex, exponent: int, tol: float) -> str | None:
@@ -247,61 +242,75 @@ def trace_det_constraints(
     """Trace and determinant obstructions in dimension n.
 
     A nonzero tr[A B^k] or tr[A^k B] forces lambda = 1; a nonzero
-    det(AB) forces lambda^n = 1.  Magnitudes are reported so callers can
-    judge borderline cases.  The powers are rescaled by powers of two and
-    the determinant is taken from its logarithm, so nothing overflows when
-    A^k, B^k or det(AB) exceed the double range; a value beyond it is
-    reported as '(mantissa)e+exponent'.
+    det(AB) forces lambda^n = 1.  Every trace forces the same lambda = 1,
+    so at most one is reported: the first of tr[A B^1], tr[A^1 B],
+    tr[A B^2], ... up to k = kmax whose modulus exceeds both tol and its
+    rounding bound.  Nothing overflows when A^k, B^k or det(AB) exceed the
+    double range; such a value is reported as '(mantissa)e+exponent'.
+    """
+    return _trace_det_constraints(pair, kmax, tol, *(float(singular_values(M)[0]) for M in (pair.A, pair.B)))
+
+
+def _trace_det_constraints(
+    pair: OperatorPair, kmax: int, tol: float, norm_A: float, norm_B: float
+) -> list[LambdaConstraint]:
+    """``trace_det_constraints`` given the spectral norms of A and B.
+
+    With A = A' 2**a, B = B' 2**b and ||A'||_2, ||B'||_2 in [1/2, 1), the
+    scaling is exact, no power overflows, and tr[A B^k] = tr[A' B'^k]
+    2**(a + kb).  A trace counts when it exceeds tol in these units and
+    its rounding bound in the scaled ones.
     """
     if kmax < 1:
         raise InvalidParameter("kmax must be at least 1")
-    A, B = pair.A, pair.B
     n = pair.dim
+    (s_A, a), (s_B, b) = math.frexp(norm_A), math.frexp(norm_B)
+    A, B = (np.ldexp(np.ascontiguousarray(M).view(np.float64), -e).view(np.complex128)
+            for M, e in ((pair.A, a), (pair.B, b)))
     out: list[LambdaConstraint] = []
-    # One step multiplies the largest entry of a power by at most n times
-    # the Frobenius norm of A or B, so a power rescaled below 1 stays below
-    # 2**512 for `period` steps; most pairs are never rescaled.
-    growth = n * math.sqrt(max(np.vdot(A, A).real, np.vdot(B, B).real))
-    period = max(1, int(512 / math.log2(max(2.0, growth))))
-    Bk = Ak = np.eye(n, dtype=np.complex128)
-    eB = eA = 0  # B^k = Bk * 2**eB and A^k = Ak * 2**eA
-    for k in range(1, kmax + 1):
-        Bk = Bk @ B
-        Ak = Ak @ A
-        if k % period == 0:
-            Bk, e = _power_of_two_normalised(Bk)
-            eB += e
-            Ak, e = _power_of_two_normalised(Ak)
-            eA += e
-        for trace, exponent, name in (
-            (complex((A @ Bk).trace()), eB, f"tr[A B^{k}]"),
-            (complex((Ak @ B).trace()), eA, f"tr[A^{k} B]"),
-        ):
-            text = _nonzero_text(trace, exponent, tol)
+    sides = zip_longest(_scaled_traces(B, A, s_B, kmax), _scaled_traces(A, B, s_A, kmax))
+    for k, (on_B, on_A) in enumerate(sides, start=1):
+        for found, name, exponent in ((on_B, f"tr[A B^{k}]", a + k * b), (on_A, f"tr[A^{k} B]", k * a + b)):
+            if found is None or abs(found[0]) <= found[1]:
+                continue
+            text = _nonzero_text(found[0], exponent, tol)
             if text is not None:
-                out.append(
-                    LambdaConstraint(
-                        kind="one",
-                        constraint="lambda = 1",
-                        source=f"nonzero trace {name} = {text}",
-                    )
-                )
-    sign, logdet = np.linalg.slogdet(A @ B)
+                source = f"nonzero trace {name} = {text}"
+                out.append(LambdaConstraint(kind="one", constraint="lambda = 1", source=source))
+                break
+        if out:
+            break
+    sign, logdet = np.linalg.slogdet(pair.A @ pair.B)
     try:
         det = complex(sign * math.exp(logdet))  # what np.linalg.det returns, bit for bit
         text = f"{det:.6g}" if abs(det) > tol else None
     except OverflowError:
         text = _beyond_range_text(complex(sign), logdet / math.log(10.0))
     if text is not None:
-        out.append(
-            LambdaConstraint(
-                kind="nth-root",
-                constraint=f"lambda^{n} = 1",
-                source=f"nonzero det(AB) = {text}",
-                order=n,
-            )
-        )
+        source = f"nonzero det(AB) = {text}"
+        out.append(LambdaConstraint(kind="nth-root", constraint=f"lambda^{n} = 1", source=source, order=n))
     return out
+
+
+def _scaled_traces(X: np.ndarray, Y: np.ndarray, norm2_X: float, kmax: int):
+    """(tr[Y X^k], its rounding bound) for k = 1, 2, ... up to kmax.
+
+    Each trace is an O(n^2) inner product with the adjoint of Y; the bound
+    is (k+1) n eps ||X||_F ||Y||_F ||X||_2^(k-1) (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, sec. 3.5).  The sequence ends
+    once ||X^k||_F ||Y||_F is at or below the bound: ||X^(k+1)||_F <=
+    ||X^k||_F ||X||_2, so no later trace can clear it, and a nilpotent
+    power stops there instead of shrinking through the subnormal range.
+    """
+    f_X, f_Y = math.sqrt(np.vdot(X, X).real), math.sqrt(np.vdot(Y, Y).real)
+    unit = X.shape[0] * np.finfo(np.float64).eps * f_X * f_Y
+    power, Y_h = X, adjoint(Y)
+    for k in range(1, kmax + 1):
+        bound = (k + 1) * unit * norm2_X ** (k - 1)
+        if math.sqrt(np.vdot(power, power).real) * f_Y <= bound:
+            return
+        yield complex(np.vdot(Y_h, power)), bound
+        power = power @ X
 
 
 def _constraint_discrepancy(c: LambdaConstraint, lam: complex) -> float:
@@ -336,8 +345,9 @@ def classify_pair(
     AB, BA = A @ B, B @ A
     factor = _fit_factor(pair, AB, BA, tol)
     eig_A, eig_B, eig_AB = eigenvalues(A), eigenvalues(B), eigenvalues(AB)
-    flags_A = _structure_flags(A, eig_A, tol)
-    flags_B = _structure_flags(B, eig_B, tol)
+    s_A, s_B = singular_values(A), singular_values(B)
+    flags_A = _structure_flags(A, eig_A, s_A, tol)
+    flags_B = _structure_flags(B, eig_B, s_B, tol)
     product_quasinilpotent = _quasi_nilpotent(AB, eig_AB, tol)
     kmax = pair.dim if kmax is None else kmax
 
@@ -363,35 +373,16 @@ def classify_pair(
                     source="self-adjoint pair with a positive factor",
                 )
             )
-    if flags_A.invertible and (not flags_B.quasi_nilpotent or flags_A.unitary):
-        constraints.append(
-            LambdaConstraint(
-                kind="unimodular",
-                constraint="|lambda| = 1",
-                source="A invertible and sigma(B) != {0}"
-                if not flags_B.quasi_nilpotent
-                else "A unitary",
-            )
-        )
-    if flags_B.invertible and (not flags_A.quasi_nilpotent or flags_B.unitary):
-        constraints.append(
-            LambdaConstraint(
-                kind="unimodular",
-                constraint="|lambda| = 1",
-                source="B invertible and sigma(A) != {0}"
-                if not flags_A.quasi_nilpotent
-                else "B unitary",
-            )
-        )
+    unimodular: list[str] = []  # sources of |lambda| = 1
+    for name, flags, other, other_flags in (("A", flags_A, "B", flags_B), ("B", flags_B, "A", flags_A)):
+        if flags.invertible and not other_flags.quasi_nilpotent:
+            unimodular.append(f"{name} invertible and sigma({other}) != {{0}}")
+        elif flags.invertible and flags.unitary:
+            unimodular.append(f"{name} unitary")
     if not product_quasinilpotent:
-        constraints.append(
-            LambdaConstraint(
-                kind="unimodular",
-                constraint="|lambda| = 1",
-                source="sigma(AB) != {0}",
-            )
-        )
-    constraints.extend(trace_det_constraints(pair, kmax, tol))
+        unimodular.append("sigma(AB) != {0}")
+    constraints.extend(LambdaConstraint(kind="unimodular", constraint="|lambda| = 1", source=s) for s in unimodular)
+    constraints.extend(_trace_det_constraints(pair, kmax, tol, s_A[0], s_B[0]))
 
     swap_check = None
     product_rotation = None

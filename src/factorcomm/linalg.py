@@ -103,6 +103,14 @@ def svd(M: np.ndarray):
     return W, s, Xh.conj().T
 
 
+def singular_values(M: np.ndarray) -> np.ndarray:
+    """Singular values of M, descending, without the singular vectors."""
+    try:
+        return np.linalg.svd(M, compute_uv=False)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise ConvergenceFailure(str(exc)) from exc
+
+
 @dataclass
 class PolarParts:
     """Polar decomposition artifacts of a square matrix C.
@@ -238,11 +246,12 @@ def classify_structure(M: np.ndarray, tol: float = DEFAULT_TOL) -> StructureFlag
     """Evaluate the structural predicates used by the classification rules.
 
     Hermitian and quasi-nilpotent checks are relative to max(1, ||M||_F);
-    unitarity compares M*M against I absolutely; invertibility uses the
-    standard numerical-rank cutoff smallest-singular > tol * largest.
+    unitarity compares M*M against I absolutely, through the singular
+    values; invertibility uses the standard numerical-rank cutoff
+    smallest-singular > tol * largest.
     """
     require_square(M)
-    return _structure_flags(M, eigenvalues(M), tol)
+    return _structure_flags(M, eigenvalues(M), singular_values(M), tol)
 
 
 def _quasi_nilpotent(M: np.ndarray, eigs: np.ndarray, tol: float) -> bool:
@@ -250,9 +259,9 @@ def _quasi_nilpotent(M: np.ndarray, eigs: np.ndarray, tol: float) -> bool:
     return bool(np.all(np.abs(eigs) <= tol * max(1.0, frob(M))))
 
 
-def _structure_flags(M: np.ndarray, eigs: np.ndarray, tol: float) -> StructureFlags:
-    """``classify_structure`` for a square M whose eigenvalues ``eigs`` are known."""
-    n = M.shape[0]
+def _structure_flags(M: np.ndarray, eigs: np.ndarray, s: np.ndarray, tol: float) -> StructureFlags:
+    """``classify_structure`` for a square M whose eigenvalues ``eigs`` and
+    singular values ``s`` (descending) are known."""
     scale = max(1.0, frob(M))
 
     hermitian = frob(M - M.conj().T) <= tol * scale
@@ -263,8 +272,8 @@ def _structure_flags(M: np.ndarray, eigs: np.ndarray, tol: float) -> StructureFl
         psd = bool(w.min() >= -tol)
         pd = bool(w.min() > tol)
 
-    _, s, _ = svd(M)
-    unitary = frob(M.conj().T @ M - np.eye(n)) <= tol
+    # ||M*M - I||_F = ||s^2 - 1||_2, with no product that squares the entries
+    unitary = bool(s[0] <= 2.0 and np.linalg.norm((s - 1.0) * (s + 1.0)) <= tol)
     invertible = bool(s.size and s[-1] > tol * s[0])
 
     return StructureFlags(

@@ -137,23 +137,81 @@ def test_trace_det_constraints_examples():
 
 
 def test_trace_det_constraints_match_unscaled_powers_in_range():
-    """Powers are rescaled by powers of two, which is exact: while A^k,
-    B^k and det(AB) stay in range, every reported digit equals the one
-    from plain repeated products and np.linalg.det.  With entries near
-    1e18 the powers are rescaled at k = 7, so k = 7..12 use them."""
+    """A and B are scaled by powers of two, which is exact: while A^k, B^k
+    and det(AB) stay in range, the one trace witness is the first nonzero
+    trace of plain repeated products, and every value within relative
+    1e-12 of that trace prints as the witness does."""
     rng = rng_for(21)
     A, B = 1e18 * ginibre(rng, 6), 1e18 * ginibre(rng, 6)
     tol = 1e-9
-    expected = []
+    first = None
     Ak = Bk = np.eye(6, dtype=complex)
     for k in range(1, 13):
         Bk, Ak = Bk @ B, Ak @ A
         for trace, name in ((complex(np.trace(A @ Bk)), f"tr[A B^{k}]"), (complex(np.trace(Ak @ B)), f"tr[A^{k} B]")):
-            if abs(trace) > tol:
-                expected.append(f"nonzero trace {name} = {trace:.6g}")
-    expected.append(f"nonzero det(AB) = {complex(np.linalg.det(A @ B)):.6g}")
+            if first is None and abs(trace) > tol:
+                first = (trace, name)
+    trace, name = first
     constraints = fc.trace_det_constraints(fc.OperatorPair(A=A, B=B), kmax=12, tol=tol)
-    assert [c.source for c in constraints] == expected
+    assert [c.kind for c in constraints] == ["one", "nth-root"]
+    prefix = f"nonzero trace {name} = "
+    assert constraints[0].source.startswith(prefix)
+    assert {f"{trace * (1 + d):.6g}" for d in (-1e-12, 0.0, 1e-12)} == {constraints[0].source[len(prefix):]}
+    assert constraints[1].source == f"nonzero det(AB) = {complex(np.linalg.det(A @ B)):.6g}"
+
+
+def _pauli_tensor_pair(n: int) -> fc.OperatorPair:
+    """(sigma_x (x) H, sigma_y (x) H) for a positive definite H: they anticommute."""
+    rng = rng_for(30, n)
+    V = random_unitary(rng, n // 2)
+    H = (V * rng.uniform(0.5, 2.0, n // 2)) @ V.conj().T
+    return fc.OperatorPair(A=np.kron(SX, H), B=np.kron(SY, H), declared_lambda=-1.0)
+
+
+SYMMETRY_FAMILIES = {
+    "clock-shift": fc.clock_shift_pair,
+    "cyclic-shift-diag": lambda n: fc.cyclic_shift_diag_pair(n, np.exp(6j * np.pi / n)),
+    "pauli-tensor": _pauli_tensor_pair,
+}
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+@pytest.mark.parametrize("family", sorted(SYMMETRY_FAMILIES))
+def test_classify_pair_verdict_survives_scaling_and_unitary_similarity(family, n):
+    """The factor is invariant under (alpha A, beta B) and (U A U*, U B U*),
+    so each image of a realization is UNIQUE, with the declared factor, and
+    consistent: no rounding in the powers or the spectra may be read as a
+    violation."""
+    base = SYMMETRY_FAMILIES[family](n)
+    rng = rng_for(31, n)
+    images = []
+    for mag_A, mag_B in ((1e3, 1.0), (1.0, 1e3), (1e-2, 1e3), (1e3, 1e-2)):
+        phase_A, phase_B = np.exp(2j * np.pi * rng.random(2))
+        images.append((mag_A * phase_A * base.A, mag_B * phase_B * base.B))
+    for _ in range(2):
+        U = random_unitary(rng, n)
+        images.append((U @ base.A @ U.conj().T, U @ base.B @ U.conj().T))
+    for A, B in images:
+        report = fc.classify_pair(fc.OperatorPair(A=A, B=B))
+        assert report.factor.status == fc.UNIQUE
+        assert abs(report.factor.lambda_hat - base.declared_lambda) <= 1e-9
+        assert report.consistent, report.violations
+
+
+@pytest.mark.parametrize("n, shift", [(64, 33), (128, 120)])
+def test_trace_witness_found_at_a_late_power(n, shift):
+    """A = diag(w^(-shift j)), B = diag(w^j) with w = exp(2 pi i / n): every
+    tr[A B^k] and tr[A^k B] with k < shift vanishes, and tr[A B^shift] = n.
+    At n = 128 the powers of B fall by 2^-k only because the scaling keeps
+    ||B||_2 above 1/2; a scaling by the largest entry and n would have let
+    B^120 underflow and lost the witness."""
+    j = np.arange(n)
+    pair = fc.OperatorPair(A=np.diag(np.exp(-2j * np.pi * shift * j / n)), B=np.diag(np.exp(2j * np.pi * j / n)))
+    traces = [c for c in fc.trace_det_constraints(pair, kmax=n) if c.kind == "one"]
+    assert len(traces) == 1
+    name, value = traces[0].source.removeprefix("nonzero trace ").split(" = ")
+    assert name == f"tr[A B^{shift}]"
+    assert abs(complex(value) - n) <= 1e-9 * n
 
 
 def test_classify_pair_pauli():
