@@ -154,30 +154,24 @@ def detect_factor(pair: OperatorPair, tol: float = DEFAULT_TOL) -> FactorReport:
     The minimizer of ||AB - lambda BA||_F is the Frobenius inner product
     <BA, AB> / ||BA||^2, which is well defined for non-diagonalizable
     inputs and yields a residual for the UNIQUE/NONE decision.  Zero
-    products are judged relative to max(1, ||A|| * ||B||).
+    products are judged relative to ||A||_F * ||B||_F, the residual
+    relative to ||AB||_F.
     """
-    return _fit_factor(pair, pair.A @ pair.B, pair.B @ pair.A, tol)
+    return _fit_factor(pair.A, pair.B, pair.A @ pair.B, pair.B @ pair.A, tol)
 
 
-def _fit_factor(pair: OperatorPair, AB: np.ndarray, BA: np.ndarray, tol: float) -> FactorReport:
+def _fit_factor(A: np.ndarray, B: np.ndarray, AB: np.ndarray, BA: np.ndarray, tol: float) -> FactorReport:
     """``detect_factor`` with the products AB and BA already formed."""
-    ab_norm = frob(AB)
-    ba_norm = frob(BA)
-    zero_cut = tol * max(1.0, frob(pair.A) * frob(pair.B))
+    ab_norm, ba_norm = frob(AB), frob(BA)
+    zero_cut = tol * frob(A) * frob(B)
 
     if ab_norm <= zero_cut and ba_norm <= zero_cut:
         return FactorReport(status=ANY, lambda_hat=None, residual=0.0, ab_norm=ab_norm, ba_norm=ba_norm)
     if ba_norm <= zero_cut:
-        return FactorReport(
-            status=NONE,
-            lambda_hat=None,
-            residual=ab_norm / max(1.0, ab_norm),
-            ab_norm=ab_norm,
-            ba_norm=ba_norm,
-        )
+        return FactorReport(status=NONE, lambda_hat=None, residual=1.0, ab_norm=ab_norm, ba_norm=ba_norm)
 
     lam = complex(np.vdot(BA, AB) / np.vdot(BA, BA).real)
-    residual = frob(AB - lam * BA) / max(1.0, ab_norm)
+    residual = frob(AB - lam * BA) / ab_norm if ab_norm else 0.0
     status = UNIQUE if residual <= 10.0 * tol else NONE
     return FactorReport(status=status, lambda_hat=lam, residual=residual, ab_norm=ab_norm, ba_norm=ba_norm)
 
@@ -221,19 +215,34 @@ def spectrum_swap_check(pair: OperatorPair, tol: float = DEFAULT_TOL) -> Spectru
     return _assignment_match(eigenvalues(pair.A @ pair.B), eigenvalues(pair.B @ pair.A), tol)
 
 
-def _nonzero_text(value: complex, exponent: int, tol: float) -> str | None:
-    """'.6g' text of value * 2**exponent if its modulus exceeds tol, else None."""
+def _power_text(value: complex, exponent: int) -> str:
+    """value * 2**exponent as '.6g' text; outside the normal double range as
+    '(mantissa)e+NNN' or '(mantissa)e-NNN', the mantissa's modulus in [1, 10)."""
     try:
         scaled = complex(math.ldexp(value.real, exponent), math.ldexp(value.imag, exponent))
-        return f"{scaled:.6g}" if abs(scaled) > tol else None
+        if abs(scaled) >= np.finfo(np.float64).tiny:
+            return f"{scaled:.6g}"
     except OverflowError:
-        return _beyond_range_text(value / abs(value), math.log10(abs(value)) + exponent * math.log10(2.0))
+        pass
+    log10_abs = math.log10(abs(value)) + exponent * math.log10(2.0)
+    power = math.floor(log10_abs)
+    modulus = 10.0 ** (log10_abs - power)
+    if float(f"{modulus:.6g}") >= 10.0:  # rounds up to 10 when printed
+        modulus, power = modulus / 10.0, power + 1
+    return f"({value / abs(value) * modulus:.6g})e{power:+d}"
 
 
-def _beyond_range_text(unit: complex, log10_abs: float) -> str:
-    """unit * 10**log10_abs as '(mantissa)e+exponent' with a '.6g' mantissa."""
-    exponent = math.floor(log10_abs)
-    return f"({unit * 10.0 ** (log10_abs - exponent):.6g})e{exponent:+d}"
+def _scaled(M: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """(M 2**-e, e, ||M 2**-e||_2) for the even e that puts the spectral norm
+    s[0] of M in [1/4, 1), or e = 0 for M = 0.
+
+    The scaling is exact, and eigvals is bitwise scale-equivariant under even
+    powers of two, so eigenvalues of the scaled factors and products scale back.
+    """
+    e = math.frexp(s[0])[1]
+    e += e % 2
+    scaled = np.ldexp(np.ascontiguousarray(M).view(np.float64), -e).view(np.complex128)
+    return scaled, e, math.ldexp(s[0], -e)
 
 
 def trace_det_constraints(
@@ -242,51 +251,45 @@ def trace_det_constraints(
     """Trace and determinant obstructions in dimension n.
 
     A nonzero tr[A B^k] or tr[A^k B] forces lambda = 1; a nonzero
-    det(AB) forces lambda^n = 1.  Every trace forces the same lambda = 1,
-    so at most one is reported: the first of tr[A B^1], tr[A^1 B],
-    tr[A B^2], ... up to k = kmax whose modulus exceeds both tol and its
-    rounding bound.  Nothing overflows when A^k, B^k or det(AB) exceed the
+    det(AB), that is invertible A and B, forces lambda^n = 1.  Every trace
+    forces the same lambda = 1, so at most one is reported: the first of
+    tr[A B^1], tr[A^1 B], tr[A B^2], ... up to k = kmax that exceeds its
+    rounding bound.  Nothing overflows when A^k, B^k or det(AB) leave the
     double range; such a value is reported as '(mantissa)e+exponent'.
     """
-    return _trace_det_constraints(pair, kmax, tol, *(float(singular_values(M)[0]) for M in (pair.A, pair.B)))
+    s_A, s_B = singular_values(pair.A), singular_values(pair.B)
+    invertible = s_A[-1] > tol * s_A[0] and s_B[-1] > tol * s_B[0]  # as in classify_structure
+    return _trace_det_constraints(_scaled(pair.A, s_A), _scaled(pair.B, s_B), kmax, invertible)
 
 
 def _trace_det_constraints(
-    pair: OperatorPair, kmax: int, tol: float, norm_A: float, norm_B: float
+    scaled_A: tuple[np.ndarray, int, float], scaled_B: tuple[np.ndarray, int, float], kmax: int, invertible: bool
 ) -> list[LambdaConstraint]:
-    """``trace_det_constraints`` given the spectral norms of A and B.
+    """``trace_det_constraints`` given A and B as ``_scaled`` returns them,
+    and whether both are invertible.
 
-    With A = A' 2**a, B = B' 2**b and ||A'||_2, ||B'||_2 in [1/2, 1), the
-    scaling is exact, no power overflows, and tr[A B^k] = tr[A' B'^k]
-    2**(a + kb).  A trace counts when it exceeds tol in these units and
-    its rounding bound in the scaled ones.
+    With A = A' 2**a and B = B' 2**b, no power of A' or B' overflows, and
+    tr[A B^k] = tr[A' B'^k] 2**(a + kb).  A trace counts when it exceeds
+    its rounding bound, which scales with it.
     """
     if kmax < 1:
         raise InvalidParameter("kmax must be at least 1")
-    n = pair.dim
-    (s_A, a), (s_B, b) = math.frexp(norm_A), math.frexp(norm_B)
-    A, B = (np.ldexp(np.ascontiguousarray(M).view(np.float64), -e).view(np.complex128)
-            for M, e in ((pair.A, a), (pair.B, b)))
+    (A, a, norm_A), (B, b, norm_B) = scaled_A, scaled_B
+    n = A.shape[0]
     out: list[LambdaConstraint] = []
-    sides = zip_longest(_scaled_traces(B, A, s_B, kmax), _scaled_traces(A, B, s_A, kmax))
+    sides = zip_longest(_scaled_traces(B, A, norm_B, kmax), _scaled_traces(A, B, norm_A, kmax))
     for k, (on_B, on_A) in enumerate(sides, start=1):
         for found, name, exponent in ((on_B, f"tr[A B^{k}]", a + k * b), (on_A, f"tr[A^{k} B]", k * a + b)):
-            if found is None or abs(found[0]) <= found[1]:
-                continue
-            text = _nonzero_text(found[0], exponent, tol)
-            if text is not None:
-                source = f"nonzero trace {name} = {text}"
+            if found is not None and abs(found[0]) > found[1]:
+                source = f"nonzero trace {name} = {_power_text(found[0], exponent)}"
                 out.append(LambdaConstraint(kind="one", constraint="lambda = 1", source=source))
                 break
         if out:
             break
-    sign, logdet = np.linalg.slogdet(pair.A @ pair.B)
-    try:
-        det = complex(sign * math.exp(logdet))  # what np.linalg.det returns, bit for bit
-        text = f"{det:.6g}" if abs(det) > tol else None
-    except OverflowError:
-        text = _beyond_range_text(complex(sign), logdet / math.log(10.0))
-    if text is not None:
+    if invertible:
+        sign, logdet = np.linalg.slogdet(A @ B)
+        binary = round(logdet / math.log(2.0))  # keeps exp() of the rest in range
+        text = _power_text(complex(sign) * math.exp(logdet - binary * math.log(2.0)), binary + n * (a + b))
         source = f"nonzero det(AB) = {text}"
         out.append(LambdaConstraint(kind="nth-root", constraint=f"lambda^{n} = 1", source=source, order=n))
     return out
@@ -340,12 +343,18 @@ def classify_pair(
     fitted value and the spectral-rotation identities against each.
     Constraint checks are advisory over floating point: every violation
     records the magnitude of the discrepancy.
+
+    Every check runs on A 2**-a and B 2**-b, scaled by ``_scaled`` with
+    relative cuts, so no verdict depends on the scale of either factor;
+    norms, distances and printed values are converted back exactly.
     """
-    A, B = pair.A, pair.B
+    s_A, s_B = singular_values(pair.A), singular_values(pair.B)
+    scaled_A, scaled_B = _scaled(pair.A, s_A), _scaled(pair.B, s_B)
+    (A, a, _), (B, b, _) = scaled_A, scaled_B
     AB, BA = A @ B, B @ A
-    factor = _fit_factor(pair, AB, BA, tol)
+    factor = _fit_factor(A, B, AB, BA, tol)
+    factor.ab_norm, factor.ba_norm = math.ldexp(factor.ab_norm, a + b), math.ldexp(factor.ba_norm, a + b)
     eig_A, eig_B, eig_AB = eigenvalues(A), eigenvalues(B), eigenvalues(AB)
-    s_A, s_B = singular_values(A), singular_values(B)
     flags_A = _structure_flags(A, eig_A, s_A, tol)
     flags_B = _structure_flags(B, eig_B, s_B, tol)
     product_quasinilpotent = _quasi_nilpotent(AB, eig_AB, tol)
@@ -353,26 +362,14 @@ def classify_pair(
 
     constraints: list[LambdaConstraint] = []
     if flags_A.hermitian or flags_B.hermitian:
-        which = "both factors" if flags_A.hermitian and flags_B.hermitian else (
-            "A" if flags_A.hermitian else "B"
-        )
-        constraints.append(
-            LambdaConstraint(kind="real", constraint="lambda real", source=f"{which} self-adjoint")
-        )
+        which = "both factors" if flags_A.hermitian and flags_B.hermitian else "A" if flags_A.hermitian else "B"
+        constraints.append(LambdaConstraint(kind="real", constraint="lambda real", source=f"{which} self-adjoint"))
     if flags_A.hermitian and flags_B.hermitian:
-        constraints.append(
-            LambdaConstraint(
-                kind="pm1", constraint="lambda in {1, -1}", source="both factors self-adjoint"
-            )
-        )
+        source = "both factors self-adjoint"
+        constraints.append(LambdaConstraint(kind="pm1", constraint="lambda in {1, -1}", source=source))
         if flags_A.positive_semidefinite or flags_B.positive_semidefinite:
-            constraints.append(
-                LambdaConstraint(
-                    kind="one",
-                    constraint="lambda = 1",
-                    source="self-adjoint pair with a positive factor",
-                )
-            )
+            source = "self-adjoint pair with a positive factor"
+            constraints.append(LambdaConstraint(kind="one", constraint="lambda = 1", source=source))
     unimodular: list[str] = []  # sources of |lambda| = 1
     for name, flags, other, other_flags in (("A", flags_A, "B", flags_B), ("B", flags_B, "A", flags_A)):
         if flags.invertible and not other_flags.quasi_nilpotent:
@@ -382,63 +379,42 @@ def classify_pair(
     if not product_quasinilpotent:
         unimodular.append("sigma(AB) != {0}")
     constraints.extend(LambdaConstraint(kind="unimodular", constraint="|lambda| = 1", source=s) for s in unimodular)
-    constraints.extend(_trace_det_constraints(pair, kmax, tol, s_A[0], s_B[0]))
+    constraints.extend(_trace_det_constraints(scaled_A, scaled_B, kmax, flags_A.invertible and flags_B.invertible))
 
-    swap_check = None
-    product_rotation = None
-    a_rotation = None
-    b_rotation = None
+    matches = dict.fromkeys(("swap_check", "product_rotation", "a_spectrum_rotation", "b_spectrum_rotation"))
     violations: list[str] = []
 
     if factor.status == UNIQUE:
         lam = factor.lambda_hat
-        check_cut = 10.0 * tol
         for c in constraints:
             c.discrepancy = _constraint_discrepancy(c, lam)
-            c.satisfied = bool(c.discrepancy <= check_cut)
+            c.satisfied = bool(c.discrepancy <= 10.0 * tol)
             if not c.satisfied:
-                violations.append(
-                    f"{c.constraint} violated by {c.discrepancy:.3e} ({c.source})"
-                )
-        swap_check = _assignment_match(eig_AB, eigenvalues(BA), tol)
-        if not swap_check.matched:
-            violations.append(
-                f"sigma(AB) != sigma(BA): max assignment distance {swap_check.max_pair_distance:.3e}"
-            )
-        product_rotation = spectrum_rotation_check(eig_AB, lam, tol)
-        if not product_rotation.matched:
-            violations.append(
-                f"sigma(AB) not invariant under lambda: distance {product_rotation.max_pair_distance:.3e}"
-            )
+                violations.append(f"{c.constraint} violated by {c.discrepancy:.3e} ({c.source})")
+        if lam == 0:  # AB = 0 != BA: no rotation check admits the fitted factor
+            raise InvalidParameter("rotation factor must be nonzero")
+        checks = [
+            ("swap_check", eig_AB, eigenvalues(BA), a + b, "sigma(AB) != sigma(BA): max assignment distance"),
+            ("product_rotation", eig_AB, lam * eig_AB, a + b, "sigma(AB) not invariant under lambda: distance"),
+        ]
         if flags_A.invertible:
-            b_rotation = spectrum_rotation_check(eig_B, lam, tol)
-            if not b_rotation.matched:
-                violations.append(
-                    f"sigma(B) not invariant under lambda (A invertible): "
-                    f"distance {b_rotation.max_pair_distance:.3e}"
-                )
+            checks.append(("b_spectrum_rotation", eig_B, lam * eig_B, b,
+                           "sigma(B) not invariant under lambda (A invertible): distance"))
         if flags_B.invertible:
-            a_rotation = spectrum_rotation_check(eig_A, lam, tol)
-            if not a_rotation.matched:
-                violations.append(
-                    f"sigma(A) not invariant under lambda (B invertible): "
-                    f"distance {a_rotation.max_pair_distance:.3e}"
-                )
-        if abs(abs(lam) - 1.0) > check_cut and not product_quasinilpotent:
-            violations.append(
-                f"|lambda| = {abs(lam):.6g} != 1 requires a quasi-nilpotent product, "
-                "but sigma(AB) != {0}"
-            )
+            checks.append(("a_spectrum_rotation", eig_A, lam * eig_A, a,
+                           "sigma(A) not invariant under lambda (B invertible): distance"))
+        for name, left, right, exponent, message in checks:
+            match = matches[name] = _assignment_match(left, right, tol)
+            match.max_pair_distance = math.ldexp(match.max_pair_distance, exponent)
+            if not match.matched:
+                violations.append(f"{message} {match.max_pair_distance:.3e}")
 
     return ClassificationReport(
         factor=factor,
         flags_A=flags_A,
         flags_B=flags_B,
         constraints=constraints,
-        swap_check=swap_check,
-        product_rotation=product_rotation,
-        a_spectrum_rotation=a_rotation,
-        b_spectrum_rotation=b_rotation,
+        **matches,
         product_quasinilpotent=product_quasinilpotent,
         consistent=not violations,
         violations=violations,

@@ -2,10 +2,10 @@
 
 Everything downstream works on plain ``numpy`` arrays of ``complex128``.
 Matrices are treated as immutable values: every function returns fresh
-arrays and never writes to its inputs.  Equality-style checks follow one
-convention throughout the package: a quantity is "zero" when its Frobenius
-norm is at most ``tol * max(1, scale)`` for the natural scale of the
-comparison.
+arrays and never writes to its inputs.  The intertwiner, resolvent and
+realizations modules call a quantity "zero" when its Frobenius norm is at
+most ``tol * max(1, scale)`` for the natural scale of the comparison; the
+structure flags below and ``commutation.classify_pair`` use plain relative cuts.
 """
 
 import math
@@ -245,43 +245,46 @@ class StructureFlags(_JsonReport):
 def classify_structure(M: np.ndarray, tol: float = DEFAULT_TOL) -> StructureFlags:
     """Evaluate the structural predicates used by the classification rules.
 
-    Hermitian and quasi-nilpotent checks are relative to max(1, ||M||_F);
-    unitarity compares M*M against I absolutely, through the singular
-    values; invertibility uses the standard numerical-rank cutoff
-    smallest-singular > tol * largest.
+    Hermitian and quasi-nilpotent checks are relative to ||M||_F, the
+    semidefinite checks to the largest |eigenvalue|; unitarity compares
+    M*M against I absolutely, through the singular values; invertibility
+    uses the standard numerical-rank cutoff smallest-singular > tol * largest.
     """
     require_square(M)
     return _structure_flags(M, eigenvalues(M), singular_values(M), tol)
 
 
 def _quasi_nilpotent(M: np.ndarray, eigs: np.ndarray, tol: float) -> bool:
-    """Every eigenvalue of M (given as ``eigs``) within tol * max(1, ||M||_F) of 0."""
-    return bool(np.all(np.abs(eigs) <= tol * max(1.0, frob(M))))
+    """Every eigenvalue of M (given as ``eigs``) within tol * ||M||_F of 0."""
+    return bool(np.all(np.abs(eigs) <= tol * frob(M)))
 
 
 def _structure_flags(M: np.ndarray, eigs: np.ndarray, s: np.ndarray, tol: float) -> StructureFlags:
     """``classify_structure`` for a square M whose eigenvalues ``eigs`` and
-    singular values ``s`` (descending) are known."""
-    scale = max(1.0, frob(M))
+    singular values ``s`` (descending) are known.
 
-    hermitian = frob(M - M.conj().T) <= tol * scale
-    psd = False
-    pd = False
+    M and ``eigs`` may carry any power-of-two scale: every predicate but
+    unitarity is scale-free.  ``s`` are the singular values of the matrix
+    as given, since unitarity is not.
+    """
+    hermitian = frob(M - M.conj().T) <= tol * frob(M)
+    psd = pd = False
     if hermitian:
         w = np.linalg.eigvalsh((M + M.conj().T) / 2.0)
-        psd = bool(w.min() >= -tol)
-        pd = bool(w.min() > tol)
+        cut = tol * np.abs(w).max()
+        psd = bool(w.min() >= -cut)
+        pd = bool(w.min() > cut)
 
     # ||M*M - I||_F = ||s^2 - 1||_2, with no product that squares the entries
     unitary = bool(s[0] <= 2.0 and np.linalg.norm((s - 1.0) * (s + 1.0)) <= tol)
-    invertible = bool(s.size and s[-1] > tol * s[0])
 
     return StructureFlags(
         hermitian=hermitian,
         positive_semidefinite=psd,
         positive_definite=pd,
         unitary=unitary,
-        invertible=invertible,
+        invertible=bool(s.size and s[-1] > tol * s[0]),
         quasi_nilpotent=_quasi_nilpotent(M, eigs, tol),
         tolerance_used=tol,
     )
+

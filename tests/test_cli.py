@@ -313,14 +313,11 @@ def _pair_file(tmp_path, A, B):
     return str(path)
 
 
-@pytest.mark.parametrize(
-    "scale_A, scale_B",
-    [(1e160, 1.0), (1e-160, 1e-160)],
-    ids=["A-1e160", "both-1e-160"],
-)
-def test_analyze_out_of_range_clock_shift_exits_2_with_one_line(tmp_path, capsys, scale_A, scale_B):
+def test_analyze_out_of_range_clock_shift_exits_2_with_one_line(tmp_path, capsys):
+    """Both factors x1e160: the entries are in range, but ||AB||_F = 2e320
+    is not, and the report carries it in the original units."""
     pair = fc.clock_shift_pair(4)
-    path = _pair_file(tmp_path, scale_A * pair.A, scale_B * pair.B)
+    path = _pair_file(tmp_path, 1e160 * pair.A, 1e160 * pair.B)
     assert main(["analyze", path]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -358,6 +355,24 @@ def test_analyze_scaled_clock_shift_is_consistent(tmp_path, capsys, scale):
     the spectrum matches are scale-free, so the report stays consistent."""
     pair = fc.clock_shift_pair(4)
     assert main(["analyze", _pair_file(tmp_path, scale * pair.A, pair.B)]) == 0
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert captured.err == ""
+    assert report["status"] == "UNIQUE" and report["consistent"] and not report["violations"]
+    assert abs(complex(*report["lambda_hat"]) - 1j) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "scale_A, scale_B",
+    [(1e-150, 1.0), (1e155, 1.0), (1e200, 1.0), (1e-160, 1e-160)],
+    ids=["A-1e-150", "A-1e155", "A-1e200", "both-1e-160"],
+)
+def test_analyze_clock_shift_scaled_past_the_old_range_is_consistent(tmp_path, capsys, scale_A, scale_B):
+    """Every check runs on factors scaled by powers of two with relative
+    cuts, so tiny factors are not read as zero and huge ones do not
+    overflow: the report is the unscaled pair's, lambda = i."""
+    pair = fc.clock_shift_pair(4)
+    assert main(["analyze", _pair_file(tmp_path, scale_A * pair.A, scale_B * pair.B)]) == 0
     captured = capsys.readouterr()
     report = json.loads(captured.out)
     assert captured.err == ""

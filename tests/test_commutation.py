@@ -1,11 +1,14 @@
 """Factor detection, classification, commutant and measurement-map checks."""
 
+from decimal import Decimal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import factorcomm as fc
+from factorcomm.commutation import _power_text
 from factorcomm.errors import DimensionMismatch, InvalidParameter, NotNormal
 from factorcomm.sampling import ginibre, random_hermitian, random_unitary, rng_for
 
@@ -252,6 +255,83 @@ def test_classify_pair_flags_violations_on_forced_borderline():
     assert report.factor.status == fc.UNIQUE
     assert not report.consistent
     assert any("lambda = 1" in v for v in report.violations)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 3e-5, 1e-5, 1e-8])
+def test_classify_pair_ginibre_verdict_does_not_depend_on_scale(scale):
+    """A random pair has no factor at any scale: small products are judged
+    relative to the factors, not read as zero against an absolute floor."""
+    rng = rng_for(5)
+    A, B = ginibre(rng, 4), ginibre(rng, 4)
+    unscaled = fc.classify_pair(fc.OperatorPair(A=A, B=B)).factor.residual
+    report = fc.classify_pair(fc.OperatorPair(A=scale * A, B=scale * B))
+    assert report.factor.status == fc.NONE and report.consistent
+    assert abs(report.factor.residual - unscaled) <= 1e-12 * unscaled
+
+
+def test_classify_pair_tiny_commuting_pair_is_unique():
+    report = fc.classify_pair(fc.OperatorPair(A=1e-6 * np.eye(3), B=1e-6 * np.diag([1.0, 2.0, 3.0])))
+    assert report.factor.status == fc.UNIQUE
+    assert abs(report.factor.lambda_hat - 1.0) <= 1e-12
+
+
+def test_det_rule_needs_both_factors_invertible():
+    """B is the nilpotent lower shift, so det(AB) = 0 exactly; the computed
+    determinant of the 64 x 64 product is far from 0 and must not count."""
+    rng = rng_for(41, 0)
+    n = 64
+    lam = 2 ** (1 / 63) * np.exp(2j * np.pi * rng.random())
+    a = ginibre(rng, n, 1).ravel() * 0.7 ** np.arange(n)
+    a[0] = 1.5
+    i, j = np.indices((n, n))
+    A = np.where(i >= j, lam**j * a[i - j], 0.0)
+    B = np.eye(n, k=-1)
+    U = random_unitary(rng, n)
+    report = fc.classify_pair(fc.OperatorPair(A=U @ A @ U.conj().T, B=U @ B @ U.conj().T))
+    assert not report.flags_B.invertible
+    assert all(c.kind != "nth-root" for c in report.constraints)
+
+
+def test_det_rule_counts_a_tiny_determinant_of_invertible_factors():
+    """Clock-shift 4 with both factors x1e-3: |det(AB)| = 1e-24 is below
+    tol, but both factors are invertible, so lambda^4 = 1 holds."""
+    pair = fc.clock_shift_pair(4)
+    report = fc.classify_pair(fc.OperatorPair(A=1e-3 * pair.A, B=1e-3 * pair.B))
+    roots = [c for c in report.constraints if c.kind == "nth-root"]
+    assert [c.constraint for c in roots] == ["lambda^4 = 1"] and roots[0].satisfied
+    assert abs(complex(roots[0].source.removeprefix("nonzero det(AB) = ")) - 1e-24) <= 1e-30
+    assert report.consistent
+
+
+def _printed_value(text: str) -> tuple[complex, int]:
+    """(mantissa, decimal exponent) of a '.6g' complex or '(mantissa)e+NNN'."""
+    if text.startswith("("):
+        mantissa, power = text[1:].split(")e")
+        return complex(mantissa), int(power)
+    return complex(text), 0
+
+
+@pytest.mark.parametrize("value", [1.0 + 0j, -1.2345678 + 0.5j, 9.9999999j, 0.3 - 7.1j])
+def test_power_text_across_both_edges_of_the_double_range(value):
+    """value * 2**e printed to 6 digits for e across the overflow edge
+    (2**1024) and the normal underflow edge (2**-1022); outside the range the
+    mantissa's modulus lies in [1, 10)."""
+    log10_two = Decimal(2).log10()
+    for exponent in [*range(1010, 1040), *range(-1050, -1010), 3000, -3000]:
+        text = _power_text(value, exponent)
+        mantissa, power = _printed_value(text)
+        if text.startswith("("):
+            assert 1.0 <= abs(mantissa) < 10.0, text
+        want = Decimal(abs(value)).log10() + exponent * log10_two
+        got = Decimal(abs(mantissa)).log10() + power
+        assert abs(got - want) <= Decimal("5e-6"), (exponent, text)
+        assert abs(mantissa / abs(mantissa) - value / abs(value)) <= 1e-5, (exponent, text)
+
+
+def test_power_text_carries_a_mantissa_that_rounds_to_ten():
+    """9.9999999e400 and -9.9999999e-503 print as 1e401 and -1e-502."""
+    assert _power_text(complex(Decimal("9.9999999e400") / Decimal(2) ** 1400), 1400) == "(1+0j)e+401"
+    assert _power_text(complex(Decimal("-9.9999999e-503") * Decimal(2) ** 1600), -1600) == "(-1+0j)e-502"
 
 
 def test_solve_lambda_commutant_examples():
