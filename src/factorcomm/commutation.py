@@ -7,13 +7,14 @@ quasi-nilpotency of the product) and verifies the fitted factor against
 each of them.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
-from itertools import zip_longest
+from itertools import permutations, zip_longest
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParameter, NotNormal
+from .errors import ConvergenceFailure, DimensionMismatch, InvalidParameter, NotNormal
 from .linalg import (
     DEFAULT_TOL,
     StructureFlags,
@@ -95,8 +96,8 @@ class FactorReport(_JsonReport):
 
     status UNIQUE: ``lambda_hat`` fits AB = lambda BA with small residual.
     status ANY: AB = BA = 0, any nonzero factor works, ``lambda_hat`` absent.
-    status NONE: BA = 0 != AB, or the best fit leaves a large residual
-    (``lambda_hat`` then still reports the least-squares value).
+    status NONE: exactly one of AB and BA is 0, or the best fit leaves a
+    large residual (``lambda_hat`` then still reports the least-squares value).
     """
 
     status: str
@@ -108,7 +109,12 @@ class FactorReport(_JsonReport):
 
 @dataclass
 class SpectrumMatchReport(_JsonReport):
-    """Multiset comparison of two spectra under optimal assignment."""
+    """Multiset comparison of two spectra by a bottleneck matching.
+
+    ``assignment`` pairs each index of the left spectrum with one of the
+    right so that the largest distance, ``max_pair_distance``, is least;
+    ``matched`` says whether that distance is within the tolerance.
+    """
 
     matched: bool
     max_pair_distance: float
@@ -167,7 +173,7 @@ def _fit_factor(A: np.ndarray, B: np.ndarray, AB: np.ndarray, BA: np.ndarray, to
 
     if ab_norm <= zero_cut and ba_norm <= zero_cut:
         return FactorReport(status=ANY, lambda_hat=None, residual=0.0, ab_norm=ab_norm, ba_norm=ba_norm)
-    if ba_norm <= zero_cut:
+    if ab_norm <= zero_cut or ba_norm <= zero_cut:  # one product is 0, the other not: no nonzero factor relates them
         return FactorReport(status=NONE, lambda_hat=None, residual=1.0, ab_norm=ab_norm, ba_norm=ba_norm)
 
     lam = complex(np.vdot(BA, AB) / np.vdot(BA, BA).real)
@@ -177,16 +183,85 @@ def _fit_factor(A: np.ndarray, B: np.ndarray, AB: np.ndarray, BA: np.ndarray, to
 
 
 def _assignment_match(left: np.ndarray, right: np.ndarray, tol: float) -> SpectrumMatchReport:
-    from scipy.optimize import linear_sum_assignment  # scipy loads on first use, not on import
     cost = np.abs(left[:, None] - right[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    max_dist = float(cost[rows, cols].max()) if rows.size else 0.0
-    scale = float(np.abs(np.concatenate((left, right))).max(initial=1.0))
+    cols = _bottleneck_assignment(cost)
+    max_dist = max(cost[np.arange(cols.size), cols].tolist(), default=0.0)
+    scale = max([1.0, *np.abs(left).tolist(), *np.abs(right).tolist()])
     return SpectrumMatchReport(
         matched=bool(max_dist <= tol * scale),
         max_pair_distance=max_dist,
-        assignment=list(zip(rows.tolist(), cols.tolist())),
+        assignment=list(enumerate(cols.tolist())),
     )
+
+
+def _bottleneck_assignment(cost: np.ndarray) -> np.ndarray:
+    """Column of each row in a perfect matching of a square, finite ``cost``
+    whose largest cost is least.
+
+    Each row first takes its nearest column.  These costs are at most
+    t = max(max_i min_j, max_j min_i), a lower bound on the answer, so when
+    no two rows take the same column they are the answer.  Otherwise, up to
+    n = 4, the answer is the first of the n! permutations with the least
+    largest cost.  Above that, a row whose own index is among its nearest
+    columns takes that one instead, so a spectrum matched with an exact
+    copy of itself, repeated eigenvalues included, keeps the identity.  If
+    rows still share a column, the first keeps it, and each row left over
+    augments along a bottleneck path (Derigs and Zimmermann, Computing
+    1978): a search over alternating paths, vectorised over columns, that
+    reaches every column within t of a reached row and raises t to the
+    least cost out of the reached rows when it stalls.  Every matched cost
+    stays at or below the optimum, since a perfect matching within the
+    optimum leaves an augmenting path within it from any unmatched row
+    (Gabow and Tarjan, J. Algorithms 1988).
+    """
+    n = len(cost)
+    if n == 0:
+        return np.zeros(0, dtype=np.intp)
+    cols = cost.argmin(axis=1)
+    if len(set(cols.tolist())) == n:
+        return cols
+    if n <= 4:
+        perms, flat = _permutations(n)
+        return perms[cost.ravel()[flat].max(axis=1).argmin()]
+    index = np.arange(n)
+    cols = np.where(cost.diagonal() <= cost[index, cols], index, cols)
+    if len(set(cols.tolist())) == n:
+        return cols
+    row_of = np.full(n, -1)
+    row_of[cols[::-1]] = index[::-1]
+    col_of = np.where(row_of[cols] == index, cols, -1)
+    t = max(cost.min(axis=0).max(), cost[index, cols].max())
+    for r in np.flatnonzero(col_of < 0):
+        best, via = cost[r].copy(), np.full(n, r)  # least cost into each column from a reached row, and that row
+        unreached = np.ones(n, dtype=bool)
+        while True:
+            reached = unreached & (best <= t)
+            if not reached.any():
+                t = best[unreached].min()
+                continue
+            unreached &= ~reached
+            free = reached & (row_of < 0)
+            if free.any():
+                break
+            rows = row_of[reached]
+            nearest = cost[rows].argmin(axis=0)
+            into = cost[rows[nearest], index]
+            closer = unreached & (into < best)
+            best[closer] = into[closer]
+            via[closer] = rows[nearest[closer]]
+        j = free.argmax()
+        while j >= 0:  # back along the path to r, whose column was -1
+            i = via[j]
+            col_of[i], row_of[j], j = j, i, col_of[i]
+    return col_of
+
+
+@functools.cache
+def _permutations(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every permutation p of range(n) as a row, and the flat indices
+    i n + p[i] of its entries in an n x n matrix."""
+    perms = np.array(list(permutations(range(n))))
+    return perms, perms + n * np.arange(n)
 
 
 def spectrum_rotation_check(
@@ -194,15 +269,18 @@ def spectrum_rotation_check(
 ) -> SpectrumMatchReport:
     """Check that a spectrum is invariant under multiplication by lambda.
 
-    Optimal assignment (Hungarian method) between S and lambda * S; greedy
-    sorted matching fails on near-degenerate rotated spectra, assignment
-    does not.  The spectra match when every assigned pair lies within
-    tol * max(1, largest modulus in S or lambda * S).
+    Bottleneck matching between S and lambda * S: the pairing whose largest
+    distance is least, which greedy sorted matching misses on
+    near-degenerate rotated spectra.  The spectra match when every pair
+    lies within tol * max(1, largest modulus in S or lambda * S).
     """
     if lam == 0:
         raise InvalidParameter("rotation factor must be nonzero")
     S = np.asarray(spectrum, dtype=np.complex128).ravel()
-    return _assignment_match(S, lam * S, tol)
+    rotated = lam * S
+    if not np.isfinite(rotated).all():
+        raise InvalidParameter("spectrum and its rotation must be finite")
+    return _assignment_match(S, rotated, tol)
 
 
 def spectrum_swap_check(pair: OperatorPair, tol: float = DEFAULT_TOL) -> SpectrumMatchReport:
@@ -210,7 +288,8 @@ def spectrum_swap_check(pair: OperatorPair, tol: float = DEFAULT_TOL) -> Spectru
 
     For square factors of equal dimension the two products share their full
     characteristic polynomial, so the whole multisets must agree: every
-    assigned pair within tol * max(1, largest eigenvalue modulus).
+    pair of a bottleneck matching within tol * max(1, largest eigenvalue
+    modulus).
     """
     return _assignment_match(eigenvalues(pair.A @ pair.B), eigenvalues(pair.B @ pair.A), tol)
 
@@ -287,7 +366,10 @@ def _trace_det_constraints(
         if out:
             break
     if invertible:
-        sign, logdet = np.linalg.slogdet(A @ B)
+        try:
+            sign, logdet = np.linalg.slogdet(A @ B)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(str(exc)) from exc
         binary = round(logdet / math.log(2.0))  # keeps exp() of the rest in range
         text = _power_text(complex(sign) * math.exp(logdet - binary * math.log(2.0)), binary + n * (a + b))
         source = f"nonzero det(AB) = {text}"
@@ -391,8 +473,6 @@ def classify_pair(
             c.satisfied = bool(c.discrepancy <= 10.0 * tol)
             if not c.satisfied:
                 violations.append(f"{c.constraint} violated by {c.discrepancy:.3e} ({c.source})")
-        if lam == 0:  # AB = 0 != BA: no rotation check admits the fitted factor
-            raise InvalidParameter("rotation factor must be nonzero")
         checks = [
             ("swap_check", eig_AB, eigenvalues(BA), a + b, "sigma(AB) != sigma(BA): max assignment distance"),
             ("product_rotation", eig_AB, lam * eig_AB, a + b, "sigma(AB) not invariant under lambda: distance"),

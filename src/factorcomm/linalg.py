@@ -270,7 +270,10 @@ def _structure_flags(M: np.ndarray, eigs: np.ndarray, s: np.ndarray, tol: float)
     hermitian = frob(M - M.conj().T) <= tol * frob(M)
     psd = pd = False
     if hermitian:
-        w = np.linalg.eigvalsh((M + M.conj().T) / 2.0)
+        try:
+            w = np.linalg.eigvalsh((M + M.conj().T) / 2.0)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(str(exc)) from exc
         cut = tol * np.abs(w).max()
         psd = bool(w.min() >= -cut)
         pd = bool(w.min() > cut)

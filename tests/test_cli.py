@@ -266,17 +266,19 @@ codes = [cli.main(["generate", "--kind", "clock-shift", "--n", "4", "--out", pai
 after_generate = scipy_modules()
 with open(diag, "w") as handle:
     json.dump(factorcomm.matrix_to_json([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]]), handle)
-codes += [cli.main(["analyze", pair]),
-          cli.main(["stone", diag, "--a", "1.5", "--b", "2.5", "--nodes", "400"]),
+codes.append(cli.main(["analyze", pair]))
+after_analyze = scipy_modules()
+codes += [cli.main(["stone", diag, "--a", "1.5", "--b", "2.5", "--nodes", "400"]),
           cli.main(["commutant", diag, "--lambda", "1"])]
 print(json.dumps({"after_import": after_import, "after_generate": after_generate,
-                  "codes": codes, "at_exit": scipy_modules()}))
+                  "after_analyze": after_analyze, "codes": codes, "at_exit": scipy_modules()}))
 """
 
 
 def test_import_and_generate_load_no_scipy(tmp_path):
     """scipy is imported inside the functions that call it, so start-up,
-    generate and error paths pay only for numpy."""
+    generate, analyze and error paths pay only for numpy; stone and
+    commutant load scipy.linalg, and no command loads scipy.optimize."""
     src = str(Path(fc.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", LAZY_SCIPY_SCRIPT, str(tmp_path)],
@@ -287,8 +289,10 @@ def test_import_and_generate_load_no_scipy(tmp_path):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["after_import"] == []
     assert result["after_generate"] == []
+    assert result["after_analyze"] == []
     assert result["codes"] == [0, 2, 0, 0, 0]
-    assert {"scipy.linalg", "scipy.optimize"} <= set(result["at_exit"])
+    assert "scipy.linalg" in result["at_exit"]
+    assert not [m for m in result["at_exit"] if m.startswith("scipy.optimize")]
 
 
 def test_solve_lambda_commutant_looks_up_schur_at_call_time(monkeypatch):
@@ -311,6 +315,18 @@ def _pair_file(tmp_path, A, B):
     path = tmp_path / "pair.json"
     path.write_text(json.dumps(fc.OperatorPair(A=A, B=B).to_json()))
     return str(path)
+
+
+def test_analyze_zero_product_with_nonzero_reverse_product_is_none(tmp_path, capsys):
+    """AB = 0 != BA: no nonzero factor turns BA into AB, so the report says
+    NONE and analyze exits 0."""
+    A = np.array([[0, 1], [0, 0]], dtype=complex)
+    B = np.diag([1.0, 0.0]).astype(complex)
+    assert main(["analyze", _pair_file(tmp_path, A, B)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "NONE"
+    assert report["lambda_hat"] is None
+    assert report["consistent"]
 
 
 def test_analyze_out_of_range_clock_shift_exits_2_with_one_line(tmp_path, capsys):

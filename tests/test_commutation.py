@@ -1,5 +1,6 @@
 """Factor detection, classification, commutant and measurement-map checks."""
 
+import itertools
 from decimal import Decimal
 
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import factorcomm as fc
-from factorcomm.commutation import _power_text
-from factorcomm.errors import DimensionMismatch, InvalidParameter, NotNormal
+from factorcomm.commutation import _assignment_match, _power_text
+from factorcomm.errors import ConvergenceFailure, DimensionMismatch, InvalidParameter, NotNormal
 from factorcomm.sampling import ginibre, random_hermitian, random_unitary, rng_for
 
 SX = fc.PAULI_X
@@ -101,11 +102,135 @@ def test_spectrum_rotation_examples():
     trivial = fc.spectrum_rotation_check(sample, 1.0, 1e-15)
     assert trivial.matched and trivial.max_pair_distance == 0.0
     assert not fc.spectrum_rotation_check(np.array([1.0, 2.0]), -1.0, 1e-6).matched
+    empty = fc.spectrum_rotation_check(np.array([]), 2.0)
+    assert empty.matched and empty.max_pair_distance == 0.0 and empty.assignment == []
 
 
 def test_spectrum_rotation_rejects_zero():
     with pytest.raises(InvalidParameter):
         fc.spectrum_rotation_check(np.array([1.0]), 0.0)
+
+
+def test_spectrum_rotation_rejects_nonfinite():
+    for spectrum, lam in (([np.nan] + [1.0] * 5, 1.0), ([np.inf, 1.0], 1j), ([1e300] * 6, 1e10), ([1.0, 2.0], np.inf)):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidParameter):
+            fc.spectrum_rotation_check(np.array(spectrum), lam)
+
+
+def test_match_counterexample_to_least_sum_assignment():
+    """The least-sum pairing of these multisets has largest distance
+    sqrt(40) = 6.32; the bottleneck pairing has sqrt(26) = 5.10, within
+    tol * scale = 1.6 * sqrt(13) = 5.77."""
+    left = np.array([3 - 2j, -2 - 3j, 2j])
+    right = np.array([-3, -2 - 3j, 3j])
+    match = _assignment_match(left, right, 1.6)
+    assert match.matched
+    assert match.max_pair_distance == pytest.approx(np.sqrt(26.0), rel=1e-15)
+    assert match.assignment == [(0, 1), (1, 0), (2, 2)]
+
+
+def _spectrum_pair(rng, n):
+    """Two spectra of size n: generic, exactly repeated values, or clusters
+    whose points differ by 1e-9, matched with an independent or a permuted
+    and perturbed copy."""
+    kind = rng.integers(3)
+    if kind == 0:
+        left = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    else:
+        pool = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        left = pool[rng.integers(2, size=n)]
+        if kind == 2:
+            left = left + 1e-9 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    if rng.integers(2):
+        right = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    else:
+        right = left[rng.permutation(n)] + rng.choice([0.0, 1e-9, 1e-3]) * rng.standard_normal(n)
+    return left, right
+
+
+def _largest_per_permutation(cost) -> np.ndarray:
+    """The largest entry of cost picked by each permutation."""
+    n = len(cost)
+    perms = np.array(list(itertools.permutations(range(n))))
+    return cost[np.arange(n), perms].max(axis=1)
+
+
+def _perfect_within(cost, t) -> bool:
+    """Whether the graph of entries at or below t has a perfect matching
+    (augmenting paths by depth-first search)."""
+    n = len(cost)
+    owner = [-1] * n
+
+    def augment(i, seen):
+        for j in range(n):
+            if cost[i, j] <= t and j not in seen:
+                seen.add(j)
+                if owner[j] < 0 or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    return all(augment(i, set()) for i in range(n))
+
+
+def _check_bottleneck(left, right, expected):
+    match = _assignment_match(left, right, 1e-9)
+    cost = np.abs(left[:, None] - right[None, :])
+    rows, cols = zip(*match.assignment)
+    assert list(rows) == list(range(len(left))) and sorted(cols) == list(range(len(left)))
+    assert match.max_pair_distance == cost[rows, cols].max() == expected
+
+
+def test_bottleneck_value_equals_brute_force_minimum():
+    rng = rng_for(2024)
+    for _ in range(600):
+        left, right = _spectrum_pair(rng, int(rng.integers(1, 7)))
+        _check_bottleneck(left, right, _largest_per_permutation(np.abs(left[:, None] - right[None, :])).min())
+
+
+def test_bottleneck_value_is_least_threshold_with_a_perfect_matching():
+    """Beyond brute force: the answer is the least distance t whose
+    threshold graph has a perfect matching."""
+    rng = rng_for(2025)
+    for _ in range(120):
+        left, right = _spectrum_pair(rng, int(rng.integers(7, 25)))
+        cost = np.abs(left[:, None] - right[None, :])
+        levels = np.unique(cost)
+        lo, hi = 0, len(levels) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if _perfect_within(cost, levels[mid]) else (mid + 1, hi)
+        _check_bottleneck(left, right, levels[lo])
+
+
+def test_assignment_equals_least_sum_oracle_when_optimum_is_unique_and_strict():
+    """scipy's least-sum solver is the oracle where both criteria pick the
+    same single matching: a permuted, slightly perturbed copy of separated
+    points, and small spectra against a permuted copy perturbed by 0.3
+    whose bottleneck optimum is unique and also the least-sum one."""
+    from scipy.optimize import linear_sum_assignment
+
+    def assigned(left, right):
+        return [j for _, j in _assignment_match(left, right, 1e-9).assignment]
+
+    rng = rng_for(2026)
+    for n in list(range(1, 41)) + [64, 128]:
+        left = np.arange(n) * (1 + 1j) + 0.1 * rng.standard_normal(n)
+        right = left[rng.permutation(n)] + 1e-3 * rng.standard_normal(n)
+        cost = np.abs(left[:, None] - right[None, :])
+        assert assigned(left, right) == linear_sum_assignment(cost)[1].tolist()
+    compared = 0
+    for _ in range(300):
+        n = int(rng.integers(5, 8))
+        left = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        right = left[rng.permutation(n)] + 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        cost = np.abs(left[:, None] - right[None, :])
+        oracle = linear_sum_assignment(cost)[1]
+        largest = np.sort(_largest_per_permutation(cost))
+        if largest[0] < largest[1] and cost[np.arange(n), oracle].max() == largest[0]:
+            assert assigned(left, right) == oracle.tolist()
+            compared += 1
+    assert compared >= 100
 
 
 def test_spectrum_swap_examples():
@@ -418,6 +543,17 @@ def test_nonunimodular_unique_pairs_have_nilpotent_product():
         if np.linalg.norm(AB) <= 1e-6:
             continue
         assert np.abs(fc.eigenvalues(AB)).max() <= 1e-7 * np.linalg.norm(AB), pair.label
+
+
+@pytest.mark.parametrize("solver", ["eigvalsh", "slogdet"])
+def test_classify_pair_reports_a_lapack_failure_as_convergence_failure(monkeypatch, solver):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, solver, fail)
+    pair = fc.OperatorPair(A=np.diag([1.0, 2.0]), B=np.diag([3.0, 4.0]))  # Hermitian and invertible
+    with pytest.raises(ConvergenceFailure):
+        fc.classify_pair(pair)
 
 
 def test_classify_pair_runs_each_decomposition_once(monkeypatch):
