@@ -7,10 +7,9 @@ quasi-nilpotency of the product) and verifies the fitted factor against
 each of them.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
-from itertools import permutations, zip_longest
+from itertools import zip_longest
 
 import numpy as np
 
@@ -200,19 +199,18 @@ def _bottleneck_assignment(cost: np.ndarray) -> np.ndarray:
 
     Each row first takes its nearest column.  These costs are at most
     t = max(max_i min_j, max_j min_i), a lower bound on the answer, so when
-    no two rows take the same column they are the answer.  Otherwise, up to
-    n = 4, the answer is the first of the n! permutations with the least
-    largest cost.  Above that, a row whose own index is among its nearest
-    columns takes that one instead, so a spectrum matched with an exact
-    copy of itself, repeated eigenvalues included, keeps the identity.  If
-    rows still share a column, the first keeps it, and each row left over
-    augments along a bottleneck path (Derigs and Zimmermann, Computing
-    1978): a search over alternating paths, vectorised over columns, that
-    reaches every column within t of a reached row and raises t to the
-    least cost out of the reached rows when it stalls.  Every matched cost
-    stays at or below the optimum, since a perfect matching within the
-    optimum leaves an augmenting path within it from any unmatched row
-    (Gabow and Tarjan, J. Algorithms 1988).
+    no two rows take the same column they are the answer.  Otherwise a row
+    whose own index is among its nearest columns takes that one instead,
+    which settles a spectrum matched with an exact copy of itself, repeated
+    eigenvalues included, without a search.  If rows still share a column,
+    the first keeps it, and each row left over augments along a bottleneck
+    path (Derigs and Zimmermann, Computing 1978): a search over alternating
+    paths, vectorised over columns, that reaches every column within t of
+    a reached row and raises t to the least cost out of the reached rows
+    when it stalls.  Every matched cost stays at or below the optimum,
+    since a perfect matching within the optimum leaves an augmenting path
+    within it from any unmatched row (Gabow and Tarjan, J. Algorithms
+    1988).
     """
     n = len(cost)
     if n == 0:
@@ -220,9 +218,6 @@ def _bottleneck_assignment(cost: np.ndarray) -> np.ndarray:
     cols = cost.argmin(axis=1)
     if len(set(cols.tolist())) == n:
         return cols
-    if n <= 4:
-        perms, flat = _permutations(n)
-        return perms[cost.ravel()[flat].max(axis=1).argmin()]
     index = np.arange(n)
     cols = np.where(cost.diagonal() <= cost[index, cols], index, cols)
     if len(set(cols.tolist())) == n:
@@ -254,14 +249,6 @@ def _bottleneck_assignment(cost: np.ndarray) -> np.ndarray:
             i = via[j]
             col_of[i], row_of[j], j = j, i, col_of[i]
     return col_of
-
-
-@functools.cache
-def _permutations(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every permutation p of range(n) as a row, and the flat indices
-    i n + p[i] of its entries in an n x n matrix."""
-    perms = np.array(list(permutations(range(n))))
-    return perms, perms + n * np.arange(n)
 
 
 def spectrum_rotation_check(
