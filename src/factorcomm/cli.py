@@ -6,7 +6,8 @@ Exit codes: 0 success/consistent, 1 condition-or-consistency failure,
 2 input error, 3 internal verification failure.
 
 Complex scalars on the command line are "re,im" pairs (a bare real is
-also accepted); lists of scalars are semicolon-separated.
+also accepted); lists of scalars are semicolon-separated.  Every --tol
+must be finite and positive; any other value exits 2.
 """
 
 import argparse
@@ -218,6 +219,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not 0.0 < getattr(args, "tol", 1.0) < np.inf:  # also refuses nan
+            raise InvalidParameter(f"--tol must be finite and positive, got {args.tol}")
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)
     except (FloatingPointError, OverflowError) as exc:  # numpy under the errstate, or Python float arithmetic

@@ -18,9 +18,10 @@ from .linalg import (
     DEFAULT_TOL,
     StructureFlags,
     _JsonReport,
-    _quasi_nilpotent,
-    _structure_flags,
-    adjoint,
+    _flags_and_spectrum,
+    _scaled,
+    _scaled_traces,
+    _spectrum,
     as_matrix,
     complex_from_json,
     eigenvalues,
@@ -298,19 +299,6 @@ def _power_text(value: complex, exponent: int) -> str:
     return f"({value / abs(value) * modulus:.6g})e{power:+d}"
 
 
-def _scaled(M: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, int, float]:
-    """(M 2**-e, e, ||M 2**-e||_2) for the even e that puts the spectral norm
-    s[0] of M in [1/4, 1), or e = 0 for M = 0.
-
-    The scaling is exact, and eigvals is bitwise scale-equivariant under even
-    powers of two, so eigenvalues of the scaled factors and products scale back.
-    """
-    e = math.frexp(s[0])[1]
-    e += e % 2
-    scaled = np.ldexp(np.ascontiguousarray(M).view(np.float64), -e).view(np.complex128)
-    return scaled, e, math.ldexp(s[0], -e)
-
-
 def trace_det_constraints(
     pair: OperatorPair, kmax: int, tol: float = DEFAULT_TOL
 ) -> list[LambdaConstraint]:
@@ -364,27 +352,6 @@ def _trace_det_constraints(
     return out
 
 
-def _scaled_traces(X: np.ndarray, Y: np.ndarray, norm2_X: float, kmax: int):
-    """(tr[Y X^k], its rounding bound) for k = 1, 2, ... up to kmax.
-
-    Each trace is an O(n^2) inner product with the adjoint of Y; the bound
-    is (k+1) n eps ||X||_F ||Y||_F ||X||_2^(k-1) (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2002, sec. 3.5).  The sequence ends
-    once ||X^k||_F ||Y||_F is at or below the bound: ||X^(k+1)||_F <=
-    ||X^k||_F ||X||_2, so no later trace can clear it, and a nilpotent
-    power stops there instead of shrinking through the subnormal range.
-    """
-    f_X, f_Y = math.sqrt(np.vdot(X, X).real), math.sqrt(np.vdot(Y, Y).real)
-    unit = X.shape[0] * np.finfo(np.float64).eps * f_X * f_Y
-    power, Y_h = X, adjoint(Y)
-    for k in range(1, kmax + 1):
-        bound = (k + 1) * unit * norm2_X ** (k - 1)
-        if math.sqrt(np.vdot(power, power).real) * f_Y <= bound:
-            return
-        yield complex(np.vdot(Y_h, power)), bound
-        power = power @ X
-
-
 def _constraint_discrepancy(c: LambdaConstraint, lam: complex) -> float:
     if c.kind == "real":
         return abs(lam.imag)
@@ -416,17 +383,19 @@ def classify_pair(
     Every check runs on A 2**-a and B 2**-b, scaled by ``_scaled`` with
     relative cuts, so no verdict depends on the scale of either factor;
     norms, distances and printed values are converted back exactly.
+    A, B and AB (unless A and B are invertible) are judged nilpotent from
+    power sums; a nilpotent product's spectrum {0} also serves for BA.
     """
     s_A, s_B = singular_values(pair.A), singular_values(pair.B)
     scaled_A, scaled_B = _scaled(pair.A, s_A), _scaled(pair.B, s_B)
-    (A, a, _), (B, b, _) = scaled_A, scaled_B
+    (A, a, norm_A), (B, b, norm_B) = scaled_A, scaled_B
     AB, BA = A @ B, B @ A
     factor = _fit_factor(A, B, AB, BA, tol)
     factor.ab_norm, factor.ba_norm = math.ldexp(factor.ab_norm, a + b), math.ldexp(factor.ba_norm, a + b)
-    eig_A, eig_B, eig_AB = eigenvalues(A), eigenvalues(B), eigenvalues(AB)
-    flags_A = _structure_flags(A, eig_A, s_A, tol)
-    flags_B = _structure_flags(B, eig_B, s_B, tol)
-    product_quasinilpotent = _quasi_nilpotent(AB, eig_AB, tol)
+    flags_A, eig_A = _flags_and_spectrum(scaled_A, s_A, tol)
+    flags_B, eig_B = _flags_and_spectrum(scaled_B, s_B, tol)
+    invertible = flags_A.invertible and flags_B.invertible
+    product_quasinilpotent, eig_AB = _spectrum(AB, norm_A * norm_B, not invertible)
     kmax = pair.dim if kmax is None else kmax
 
     constraints: list[LambdaConstraint] = []
@@ -448,7 +417,7 @@ def classify_pair(
     if not product_quasinilpotent:
         unimodular.append("sigma(AB) != {0}")
     constraints.extend(LambdaConstraint(kind="unimodular", constraint="|lambda| = 1", source=s) for s in unimodular)
-    constraints.extend(_trace_det_constraints(scaled_A, scaled_B, kmax, flags_A.invertible and flags_B.invertible))
+    constraints.extend(_trace_det_constraints(scaled_A, scaled_B, kmax, invertible))
 
     matches = dict.fromkeys(("swap_check", "product_rotation", "a_spectrum_rotation", "b_spectrum_rotation"))
     violations: list[str] = []
@@ -461,7 +430,8 @@ def classify_pair(
             if not c.satisfied:
                 violations.append(f"{c.constraint} violated by {c.discrepancy:.3e} ({c.source})")
         checks = [
-            ("swap_check", eig_AB, eigenvalues(BA), a + b, "sigma(AB) != sigma(BA): max assignment distance"),
+            ("swap_check", eig_AB, eig_AB if product_quasinilpotent else eigenvalues(BA), a + b,
+             "sigma(AB) != sigma(BA): max assignment distance"),
             ("product_rotation", eig_AB, lam * eig_AB, a + b, "sigma(AB) not invariant under lambda: distance"),
         ]
         if flags_A.invertible:

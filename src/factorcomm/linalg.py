@@ -5,7 +5,13 @@ Matrices are treated as immutable values: every function returns fresh
 arrays and never writes to its inputs.  The intertwiner, resolvent and
 realizations modules call a quantity "zero" when its Frobenius norm is at
 most ``tol * max(1, scale)`` for the natural scale of the comparison; the
-structure flags below and ``commutation.classify_pair`` use plain relative cuts.
+structure flags below and ``commutation.classify_pair`` use plain relative
+cuts on a matrix first scaled by a power of two.
+
+A singular matrix is nilpotent when no power sum tr[M^k], k = 1..n,
+clears its rounding bound, and then has the spectrum {0} by decision, with
+no eigenvalues computed.  m eigenvalues c w^j with c^m below about n eps
+read as nilpotent.  PSD and PD are read from the general eigenvalues.
 """
 
 import math
@@ -245,49 +251,84 @@ class StructureFlags(_JsonReport):
 def classify_structure(M: np.ndarray, tol: float = DEFAULT_TOL) -> StructureFlags:
     """Evaluate the structural predicates used by the classification rules.
 
-    Hermitian and quasi-nilpotent checks are relative to ||M||_F, the
-    semidefinite checks to the largest |eigenvalue|; unitarity compares
-    M*M against I absolutely, through the singular values; invertibility
-    uses the standard numerical-rank cutoff smallest-singular > tol * largest.
+    M is scaled by a power of two first, so no norm overflows.  Unitarity
+    compares M*M against I through the singular values, invertibility is
+    smallest-singular > tol * largest; the rest is ``_flags_and_spectrum``.
     """
     require_square(M)
-    return _structure_flags(M, eigenvalues(M), singular_values(M), tol)
+    s = singular_values(M)
+    return _flags_and_spectrum(_scaled(M, s), s, tol)[0]
 
 
-def _quasi_nilpotent(M: np.ndarray, eigs: np.ndarray, tol: float) -> bool:
-    """Every eigenvalue of M (given as ``eigs``) within tol * ||M||_F of 0."""
-    return bool(np.all(np.abs(eigs) <= tol * frob(M)))
+def _scaled(M: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """(M 2**-e, e, ||M 2**-e||_2) for the even e that puts the spectral norm
+    s[0] of M in [1/4, 1), or e = 0 for M = 0.
 
-
-def _structure_flags(M: np.ndarray, eigs: np.ndarray, s: np.ndarray, tol: float) -> StructureFlags:
-    """``classify_structure`` for a square M whose eigenvalues ``eigs`` and
-    singular values ``s`` (descending) are known.
-
-    M and ``eigs`` may carry any power-of-two scale: every predicate but
-    unitarity is scale-free.  ``s`` are the singular values of the matrix
-    as given, since unitarity is not.
+    The scaling is exact, and eigvals is bitwise scale-equivariant under even
+    powers of two, so eigenvalues of the scaled factors and products scale back.
     """
-    hermitian = frob(M - M.conj().T) <= tol * frob(M)
-    psd = pd = False
-    if hermitian:
-        try:
-            w = np.linalg.eigvalsh((M + M.conj().T) / 2.0)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailure(str(exc)) from exc
-        cut = tol * np.abs(w).max()
-        psd = bool(w.min() >= -cut)
-        pd = bool(w.min() > cut)
+    e = math.frexp(s[0])[1]
+    e += e % 2
+    scaled = np.ldexp(np.ascontiguousarray(M, dtype=np.complex128).view(np.float64), -e).view(np.complex128)
+    return scaled, e, math.ldexp(s[0], -e)
 
+
+def _scaled_traces(X: np.ndarray, Y: np.ndarray, norm2_X: float, kmax: int):
+    """(tr[Y X^k], its rounding bound) for k = 1, 2, ... up to kmax.
+
+    Each trace is an O(n^2) inner product with the adjoint of Y; the bound
+    is (k+1) n eps ||X||_F ||Y||_F ||X||_2^(k-1) (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, sec. 3.5).  The sequence ends
+    once ||X^k||_F ||Y||_F is at or below the bound: ||X^(k+1)||_F <=
+    ||X^k||_F ||X||_2, so no later trace can clear it, and a nilpotent
+    power stops there instead of shrinking through the subnormal range.
+    """
+    f_X, f_Y = math.sqrt(np.vdot(X, X).real), math.sqrt(np.vdot(Y, Y).real)
+    unit = X.shape[0] * np.finfo(np.float64).eps * f_X * f_Y
+    power, Y_h = X, adjoint(Y)
+    for k in range(1, kmax + 1):
+        bound = (k + 1) * unit * norm2_X ** (k - 1)
+        if math.sqrt(np.vdot(power, power).real) * f_Y <= bound:
+            return
+        yield complex(np.vdot(Y_h, power)), bound
+        power = power @ X
+
+
+def _spectrum(M: np.ndarray, norm2_bound: float, singular: bool) -> tuple[bool, np.ndarray]:
+    """(whether M is nilpotent, its eigenvalues), for ||M||_2 <= norm2_bound.
+
+    M is nilpotent exactly when every power sum tr[M^k], k = 1..n, is 0
+    (Newton's identities), so a singular M is decided nilpotent when none
+    clears its rounding bound, and its spectrum is {0} by decision.
+    """
+    n = M.shape[0]
+    if singular and not any(abs(p) > bound for p, bound in _scaled_traces(M, np.eye(n), norm2_bound, n)):
+        return True, np.zeros(n, dtype=np.complex128)
+    return False, eigenvalues(M)
+
+
+def _flags_and_spectrum(scaled: tuple, s: np.ndarray, tol: float) -> tuple[StructureFlags, np.ndarray]:
+    """``classify_structure`` and the eigenvalues of a square matrix as
+    ``_scaled`` returns it, whose singular values as given are ``s``.
+
+    Hermitian is judged relative to ||M||_F; PSD and PD from the real parts
+    of the eigenvalues, relative to the largest.
+    """
+    M, _, norm2 = scaled
+    invertible = bool(s.size and s[-1] > tol * s[0])
+    nilpotent, eigs = _spectrum(M, norm2, not invertible)
+    hermitian = frob(M - M.conj().T) <= tol * frob(M)
+    w = eigs.real
+    cut = tol * np.abs(w).max()
     # ||M*M - I||_F = ||s^2 - 1||_2, with no product that squares the entries
     unitary = bool(s[0] <= 2.0 and np.linalg.norm((s - 1.0) * (s + 1.0)) <= tol)
-
-    return StructureFlags(
+    flags = StructureFlags(
         hermitian=hermitian,
-        positive_semidefinite=psd,
-        positive_definite=pd,
+        positive_semidefinite=hermitian and bool(w.min() >= -cut),
+        positive_definite=hermitian and bool(w.min() > cut),
         unitary=unitary,
-        invertible=bool(s.size and s[-1] > tol * s[0]),
-        quasi_nilpotent=_quasi_nilpotent(M, eigs, tol),
+        invertible=invertible,
+        quasi_nilpotent=nilpotent,
         tolerance_used=tol,
     )
-
+    return flags, eigs

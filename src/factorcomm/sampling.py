@@ -54,9 +54,3 @@ def random_psd(rng: np.random.Generator, n: int, rank: int | None = None) -> np.
     G = ginibre(rng, n, rank)
     return G @ G.conj().T
 
-
-def random_normal_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Random normal matrix: unitary conjugation of a complex diagonal."""
-    U = random_unitary(rng, n)
-    d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return (U * d) @ U.conj().T

@@ -66,8 +66,8 @@ class SuiteConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < np.inf:  # also refuses nan
+            raise ValueError("tol must be finite and positive")
         if self.max_dim < 2:
             raise ValueError("max_dim must be at least 2")
 

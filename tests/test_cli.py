@@ -230,6 +230,27 @@ def test_suite_command_exit_codes(capsys):
     assert broken["failures"][0]["property_name"]
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("command", ["analyze", "intertwine", "commutant", "stone", "suite"])
+def test_tol_that_is_not_finite_and_positive_exits_2_with_one_line(tmp_path, capsys, command, tol):
+    """Before, analyze on clock-shift 4 with tol 0, -1 or nan reported a
+    consistent NONE, and with tol inf ANY."""
+    pair, matrix = tmp_path / "pair.json", tmp_path / "m.json"
+    pair.write_text(json.dumps(fc.clock_shift_pair(4).to_json()))
+    matrix.write_text(json.dumps(fc.matrix_to_json(np.diag([1.0, 2.0, 3.0]).astype(complex))))
+    args = {
+        "analyze": [str(pair)],
+        "intertwine": [str(pair)],
+        "commutant": [str(matrix), "--lambda", "2,0"],
+        "stone": [str(matrix), "--a", "1.5", "--b", "2.5"],
+        "suite": ["--trials", "1"],
+    }[command]
+    assert main([command, *args, f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --tol must be finite and positive, got {float(tol)}\n"
+
+
 def test_suite_byte_identical_across_processes():
     first = run_cli(["suite", "--seed", "11", "--trials", "3"])
     second = run_cli(["suite", "--seed", "11", "--trials", "3"])

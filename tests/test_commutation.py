@@ -296,33 +296,53 @@ def _pauli_tensor_pair(n: int) -> fc.OperatorPair:
     return fc.OperatorPair(A=np.kron(SX, H), B=np.kron(SY, H), declared_lambda=-1.0)
 
 
+def _lower_shift_jordan_pair(n: int) -> fc.OperatorPair:
+    """A[i, j] = lam^j a[i - j] against the n x n lower shift B: AB = lam BA."""
+    rng = rng_for(41, n)
+    lam = 2 ** (1 / (n - 1)) * np.exp(2j * np.pi * rng.random())
+    a = ginibre(rng, n, 1).ravel() * 0.7 ** np.arange(n)
+    a[0] = 1.5
+    i, j = np.indices((n, n))
+    return fc.OperatorPair(A=np.where(i >= j, lam**j * a[i - j], 0.0), B=np.eye(n, k=-1), declared_lambda=lam)
+
+
 SYMMETRY_FAMILIES = {
     "clock-shift": fc.clock_shift_pair,
     "cyclic-shift-diag": lambda n: fc.cyclic_shift_diag_pair(n, np.exp(6j * np.pi / n)),
     "pauli-tensor": _pauli_tensor_pair,
+    "nilpotent-diag": lambda n: fc.nilpotent_diag_pair(np.arange(1.0, n + 1), n // 2, 2.5, solve_pivot=True),
+    "jordan3": lambda n: fc.jordan_pair(3, 1.5, -0.5, 0.75, 0.5),
+    "jordan": _lower_shift_jordan_pair,
+    "uq-sl2": lambda n: fc.uq_sl2_pair(n - 1, 1.1),
 }
 
 
-@pytest.mark.parametrize("n", [4, 8, 16])
-@pytest.mark.parametrize("family", sorted(SYMMETRY_FAMILIES))
+@pytest.mark.parametrize(
+    "family, n",
+    [(family, n) for family in sorted(SYMMETRY_FAMILIES) if family != "jordan3" for n in (4, 8, 16)] + [("jordan3", 3)],
+)
 def test_classify_pair_verdict_survives_scaling_and_unitary_similarity(family, n):
     """The factor is invariant under (alpha A, beta B) and (U A U*, U B U*),
-    so each image of a realization is UNIQUE, with the declared factor, and
+    and becomes 1/lambda under the swap (B, A), so each image of a
+    realization is UNIQUE, with the declared factor or its inverse, and
     consistent: no rounding in the powers or the spectra may be read as a
-    violation."""
+    violation.  Nilpotent factors and products included: after a change of
+    basis their computed eigenvalues scatter far above the rounding level."""
     base = SYMMETRY_FAMILIES[family](n)
+    lam = base.declared_lambda
     rng = rng_for(31, n)
     images = []
     for mag_A, mag_B in ((1e3, 1.0), (1.0, 1e3), (1e-2, 1e3), (1e3, 1e-2)):
         phase_A, phase_B = np.exp(2j * np.pi * rng.random(2))
-        images.append((mag_A * phase_A * base.A, mag_B * phase_B * base.B))
+        images.append((mag_A * phase_A * base.A, mag_B * phase_B * base.B, lam))
     for _ in range(2):
         U = random_unitary(rng, n)
-        images.append((U @ base.A @ U.conj().T, U @ base.B @ U.conj().T))
-    for A, B in images:
+        images.append((U @ base.A @ U.conj().T, U @ base.B @ U.conj().T, lam))
+    images += [(base.B, base.A, 1 / lam), (images[-1][1], images[-1][0], 1 / lam)]
+    for A, B, want in images:
         report = fc.classify_pair(fc.OperatorPair(A=A, B=B))
         assert report.factor.status == fc.UNIQUE
-        assert abs(report.factor.lambda_hat - base.declared_lambda) <= 1e-9
+        assert abs(report.factor.lambda_hat - want) <= 1e-9 * max(1.0, abs(want))
         assert report.consistent, report.violations
 
 
@@ -545,7 +565,7 @@ def test_nonunimodular_unique_pairs_have_nilpotent_product():
         assert np.abs(fc.eigenvalues(AB)).max() <= 1e-7 * np.linalg.norm(AB), pair.label
 
 
-@pytest.mark.parametrize("solver", ["eigvalsh", "slogdet"])
+@pytest.mark.parametrize("solver", ["eigvals", "slogdet"])
 def test_classify_pair_reports_a_lapack_failure_as_convergence_failure(monkeypatch, solver):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("did not converge")
@@ -556,11 +576,13 @@ def test_classify_pair_reports_a_lapack_failure_as_convergence_failure(monkeypat
         fc.classify_pair(pair)
 
 
+def _conjugated(pair: fc.OperatorPair, seed: int) -> fc.OperatorPair:
+    U = random_unitary(rng_for(seed), pair.dim)
+    return fc.OperatorPair(A=U @ pair.A @ U.conj().T, B=U @ pair.B @ U.conj().T, label=pair.label)
+
+
 def test_classify_pair_runs_each_decomposition_once(monkeypatch):
-    base = fc.clock_shift_pair(4)
-    U = random_unitary(rng_for(17), 4)
-    pair = fc.OperatorPair(A=U @ base.A @ U.conj().T, B=U @ base.B @ U.conj().T)
-    calls = {"eigvals": 0, "svd": 0}
+    calls = {"eigvals": 0, "svd": 0, "eigvalsh": 0}
     for name in calls:
         real = getattr(np.linalg, name)
 
@@ -569,10 +591,18 @@ def test_classify_pair_runs_each_decomposition_once(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    report = fc.classify_pair(pair)
-    assert report.factor.status == fc.UNIQUE
-    assert report.flags_A.invertible and report.flags_B.invertible
-    assert calls == {"eigvals": 4, "svd": 2}
+    cases = [
+        # A, B, AB and BA each take one eigvals
+        (_conjugated(fc.clock_shift_pair(4), 17), {"eigvals": 4, "svd": 2, "eigvalsh": 0}),
+        # B and AB are decided nilpotent, so only A takes eigvals
+        (_conjugated(fc.jordan_pair(3, 1.5, -0.5, 0.75, 0.5), 17), {"eigvals": 1, "svd": 2, "eigvalsh": 0}),
+        # PSD is read from the eigenvalues already taken
+        (_pauli_tensor_pair(4), {"eigvals": 4, "svd": 2, "eigvalsh": 0}),
+    ]
+    for pair, expected in cases:
+        calls.update(dict.fromkeys(calls, 0))
+        assert fc.classify_pair(pair).factor.status == fc.UNIQUE
+        assert calls == expected, pair.label
 
 
 def test_factor_report_json_shape():

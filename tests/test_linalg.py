@@ -188,6 +188,26 @@ def test_classify_structure_examples():
     assert fpd.positive_definite and fpd.invertible
 
 
+@pytest.mark.parametrize("scale", [1e-160, 1.0, 1e160])
+def test_classify_structure_does_not_depend_on_scale(scale):
+    """The matrix is scaled first, so ||M||_F of entries near 1e160 does not
+    overflow and read a non-Hermitian matrix as Hermitian and PSD."""
+    flags = fc.classify_structure(np.array([[1.0, 2.0], [0.0, 3.0]]) * scale)
+    assert not flags.hermitian and not flags.positive_semidefinite
+    assert flags.invertible and not flags.quasi_nilpotent and not flags.unitary
+
+
+def test_classify_structure_decides_nilpotency_after_a_change_of_basis():
+    """The 8 x 8 shift conjugated by a unitary: its computed eigenvalues
+    scatter by about eps^(1/8), its power sums stay at the rounding level."""
+    n = 8
+    Q, _ = np.linalg.qr(ginibre(rng_for(7), n))
+    M = Q @ np.eye(n, k=-1) @ Q.conj().T
+    assert np.abs(fc.eigenvalues(M)).max() > 1e-3
+    assert fc.classify_structure(M).quasi_nilpotent
+    assert not fc.classify_structure(M + 1e-3 * np.eye(n)).quasi_nilpotent
+
+
 def test_classify_structure_implications_random():
     for seed in range(10):
         rng = rng_for(300 + seed)

@@ -54,7 +54,8 @@ def test_suite_absurd_tolerance_reports_failures_as_data():
 def test_suite_config_validation():
     with pytest.raises(ValueError):
         SuiteConfig(trials=0)
-    with pytest.raises(ValueError):
-        SuiteConfig(tol=-1.0)
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            SuiteConfig(tol=tol)
     with pytest.raises(ValueError):
         SuiteConfig(max_dim=1)
