@@ -9,7 +9,6 @@ each of them.
 
 import math
 from dataclasses import dataclass, field
-from itertools import zip_longest
 
 import numpy as np
 
@@ -18,6 +17,7 @@ from .linalg import (
     DEFAULT_TOL,
     StructureFlags,
     _JsonReport,
+    _entry_scaled,
     _flags_and_spectrum,
     _scaled,
     _scaled_traces,
@@ -162,8 +162,24 @@ def detect_factor(pair: OperatorPair, tol: float = DEFAULT_TOL) -> FactorReport:
     inputs and yields a residual for the UNIQUE/NONE decision.  Zero
     products are judged relative to ||A||_F * ||B||_F, the residual
     relative to ||AB||_F.
+
+    The fit runs on A 2**-a and B 2**-b from ``_entry_scaled``, so no
+    product under- or overflows and the verdict does not depend on the
+    scale of either factor; ab_norm and ba_norm are scaled back, to inf
+    where they leave the double range.
     """
-    return _fit_factor(pair.A, pair.B, pair.A @ pair.B, pair.B @ pair.A, tol)
+    (A, a), (B, b) = _entry_scaled(pair.A), _entry_scaled(pair.B)
+    factor = _fit_factor(A, B, A @ B, B @ A, tol)
+    factor.ab_norm, factor.ba_norm = (_ldexp_or_inf(x, a + b) for x in (factor.ab_norm, factor.ba_norm))
+    return factor
+
+
+def _ldexp_or_inf(x: float, exponent: int) -> float:
+    """x 2**exponent, or inf where that leaves the double range."""
+    try:
+        return math.ldexp(x, exponent)
+    except OverflowError:
+        return math.inf
 
 
 def _fit_factor(A: np.ndarray, B: np.ndarray, AB: np.ndarray, BA: np.ndarray, tol: float) -> FactorReport:
@@ -324,22 +340,23 @@ def _trace_det_constraints(
 
     With A = A' 2**a and B = B' 2**b, no power of A' or B' overflows, and
     tr[A B^k] = tr[A' B'^k] 2**(a + kb).  A trace counts when it exceeds
-    its rounding bound, which scales with it.
+    its rounding bound, which scales with it.  The B side runs first, up to
+    its first witness k; at equal k that one comes first, so the A side
+    then runs only below k, and one side's powers are held at a time.
     """
     if kmax < 1:
         raise InvalidParameter("kmax must be at least 1")
     (A, a, norm_A), (B, b, norm_B) = scaled_A, scaled_B
     n = A.shape[0]
     out: list[LambdaConstraint] = []
-    sides = zip_longest(_scaled_traces(B, A, norm_B, kmax), _scaled_traces(A, B, norm_A, kmax))
-    for k, (on_B, on_A) in enumerate(sides, start=1):
-        for found, name, exponent in ((on_B, f"tr[A B^{k}]", a + k * b), (on_A, f"tr[A^{k} B]", k * a + b)):
-            if found is not None and abs(found[0]) > found[1]:
-                source = f"nonzero trace {name} = {_power_text(found[0], exponent)}"
-                out.append(LambdaConstraint(kind="one", constraint="lambda = 1", source=source))
+    witness = None
+    for X, Y, norm_X, name, x, y in ((B, A, norm_B, "tr[A B^{}]", b, a), (A, B, norm_A, "tr[A^{} B]", a, b)):
+        for k, (trace, bound) in enumerate(_scaled_traces(X, Y, norm_X, kmax), start=1):
+            if abs(trace) > bound:
+                witness, kmax = f"{name.format(k)} = {_power_text(trace, y + k * x)}", k - 1
                 break
-        if out:
-            break
+    if witness:
+        out.append(LambdaConstraint(kind="one", constraint="lambda = 1", source=f"nonzero trace {witness}"))
     if invertible:
         try:
             sign, logdet = np.linalg.slogdet(A @ B)

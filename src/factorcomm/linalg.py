@@ -12,6 +12,10 @@ A singular matrix is nilpotent when no power sum tr[M^k], k = 1..n,
 clears its rounding bound, and then has the spectrum {0} by decision, with
 no eigenvalues computed.  m eigenvalues c w^j with c^m below about n eps
 read as nilpotent.  PSD and PD are read from the general eigenvalues.
+Power sums, like the traces tr[A B^k] of the trace rule, come from one
+baby-step giant-step sweep: about 2 sqrt(n) matrix products for n powers.
+``is_hermitian`` also judges M scaled by a power of two, from its largest
+entry.
 """
 
 import math
@@ -77,9 +81,15 @@ def eigenvalues(M: np.ndarray) -> np.ndarray:
 
 
 def is_hermitian(M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    """Whether ||M - M*||_F <= tol * max(1, ||M||_F).
+
+    Judged on M 2**-e from ``_entry_scaled`` against tol * max(2**-e,
+    ||M 2**-e||_F), the same cut, so no norm overflows.
+    """
     if M.shape[0] != M.shape[1]:
         return False
-    return frob(M - M.conj().T) <= tol * max(1.0, frob(M))
+    M, e = _entry_scaled(M)
+    return frob(M - M.conj().T) <= tol * max(math.ldexp(1.0, -e), frob(M))
 
 
 def hermitian_eig(M: np.ndarray, tol: float = DEFAULT_TOL):
@@ -273,25 +283,70 @@ def _scaled(M: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, int, float]:
     return scaled, e, math.ldexp(s[0], -e)
 
 
+def _entry_scaled(M: np.ndarray) -> tuple[np.ndarray, int]:
+    """(M 2**-e, e) with no SVD, for the e that puts the largest real or
+    imaginary part of M in [1/2, 1), or e = 0 for M = 0.  e is at least
+    -1021, that of the smallest normal double, so 2**-e stays finite."""
+    parts = np.ascontiguousarray(M, dtype=np.complex128).view(np.float64)
+    e = max(math.frexp(float(np.abs(parts).max()))[1], -1021)
+    return np.ldexp(parts, -e).view(np.complex128), e
+
+
 def _scaled_traces(X: np.ndarray, Y: np.ndarray, norm2_X: float, kmax: int):
     """(tr[Y X^k], its rounding bound) for k = 1, 2, ... up to kmax.
 
-    Each trace is an O(n^2) inner product with the adjoint of Y; the bound
-    is (k+1) n eps ||X||_F ||Y||_F ||X||_2^(k-1) (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2002, sec. 3.5).  The sequence ends
-    once ||X^k||_F ||Y||_F is at or below the bound: ||X^(k+1)||_F <=
-    ||X^k||_F ||X||_2, so no later trace can clear it, and a nilpotent
-    power stops there instead of shrinking through the subnormal range.
+    Baby-step giant-step (Paterson and Stockmeyer, SIAM J. Comput. 1973),
+    with m = ceil(sqrt(kmax)).  The baby steps P_j = X^j, j = 1..m, are
+    formed one product at a time, and tr[Y P_j] is an O(n^2) inner product
+    with the adjoint of Y.  Each giant step then takes D = Y X^k0, k0 = m,
+    2m, ..., one product with P_m further, and its block of traces
+    tr[D P_j] = vec(P_j) . vec(D^T), k = k0 + j, is one matrix-vector
+    product.  A full sweep forms about 2 sqrt(kmax) n x n products instead
+    of kmax.
+
+    The bound is (k+1) n eps ||X||_F ||Y||_F ||X||_2^(k-1) (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.5).  Take
+    each product F G, and each inner product of F with G, to err by at most
+    n eps ||F||_F ||G||_2 or n eps ||F||_2 ||G||_F.  Each product or inner
+    product on the way to tr[Y X^k] then moves it by at most n eps ||X||_F
+    ||Y||_F ||X||_2^(k-1), and there are k of them.  In the first block,
+    P_k takes k - 1 products and its trace one.  In a giant block, P_j
+    takes j - 1; P_m takes m - 1 and enters D k0/m times, k0 - k0/m in
+    all; D takes k0/m products, Y P_m the first; and the block's inner
+    product one: (j - 1) + (k0 - k0/m) + k0/m + 1 = k.
+
+    The sequence ends where no later trace can clear its bound, so a
+    nilpotent power stops instead of shrinking through the subnormal
+    range: in the first block once ||P_k||_F ||Y||_F is at or below the
+    bound of k, and before a giant block once ||D||_F ||X||_F is at or
+    below the bound of k0 + 1.  |tr[D P_j]| <= ||D||_F ||X||_F
+    ||X||_2^(j-1), ||D P_m||_F <= ||D||_F ||X||_2^m, and the bound grows
+    by at least a factor ||X||_2 from one k to the next.
     """
+    if kmax < 1:
+        return
+    n, m = X.shape[0], math.isqrt(kmax - 1) + 1
     f_X, f_Y = math.sqrt(np.vdot(X, X).real), math.sqrt(np.vdot(Y, Y).real)
-    unit = X.shape[0] * np.finfo(np.float64).eps * f_X * f_Y
-    power, Y_h = X, adjoint(Y)
-    for k in range(1, kmax + 1):
+    unit = n * np.finfo(np.float64).eps * f_X * f_Y
+    baby, Y_h = np.empty((m, n, n), dtype=np.complex128), adjoint(Y)
+    for k in range(1, m + 1):
+        power = baby[k - 1]
+        if k == 1:
+            power[...] = X
+        else:
+            np.matmul(baby[k - 2], X, out=power)
         bound = (k + 1) * unit * norm2_X ** (k - 1)
         if math.sqrt(np.vdot(power, power).real) * f_Y <= bound:
             return
         yield complex(np.vdot(Y_h, power)), bound
-        power = power @ X
+    D = Y
+    for k0 in range(m, kmax, m):
+        D = D @ baby[m - 1]
+        if math.sqrt(np.vdot(D, D).real) * f_X <= (k0 + 2) * unit * norm2_X ** k0:
+            return
+        block = baby[: min(m, kmax - k0)]
+        for j, trace in enumerate(block.reshape(len(block), n * n) @ D.T.ravel(), start=k0 + 1):
+            yield complex(trace), (j + 1) * unit * norm2_X ** (j - 1)
 
 
 def _spectrum(M: np.ndarray, norm2_bound: float, singular: bool) -> tuple[bool, np.ndarray]:

@@ -59,6 +59,19 @@ def test_detect_factor_any_and_none():
     assert generic.lambda_hat is not None  # best fit still reported
 
 
+@pytest.mark.parametrize("scale", [1e-160, 1.0, 1e160])
+def test_detect_factor_does_not_depend_on_scale(scale):
+    """Both factors are scaled by powers of two first: at 1e-160 AB and BA no
+    longer underflow to 0 (ANY), at 1e160 no longer overflow (lambda nan);
+    their norms are scaled back, to inf beyond the double range."""
+    pair = fc.clock_shift_pair(4)
+    report = fc.detect_factor(fc.OperatorPair(A=scale * pair.A, B=scale * pair.B))
+    base = fc.detect_factor(pair)
+    assert report.status == fc.UNIQUE and report.lambda_hat == base.lambda_hat
+    assert abs(report.lambda_hat - 1j) <= 1e-12 and report.residual == base.residual
+    assert report.ab_norm == report.ba_norm == (np.inf if scale > 1 else 2.0 * scale * scale)
+
+
 def test_detect_factor_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         fc.OperatorPair(A=np.eye(2, dtype=complex), B=np.eye(3, dtype=complex))
@@ -67,17 +80,19 @@ def test_detect_factor_dimension_mismatch():
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
-    st.floats(0.25, 4.0),
+    st.floats(-150.0, 150.0),
     st.floats(0.0, 2 * np.pi),
-    st.floats(0.25, 4.0),
+    st.floats(-150.0, 150.0),
     st.floats(0.0, 2 * np.pi),
 )
 def test_detect_factor_scale_invariance(seed, ra, pa, rb, pb):
+    """(alpha A, beta B) has the factor of (A, B) for independent alpha and
+    beta, here of modulus 1e-150 to 1e150."""
     rng = rng_for(seed)
     pairs = fc.builtin_pairs()
     pair = pairs[int(rng.integers(len(pairs)))]
-    alpha = ra * np.exp(1j * pa)
-    beta = rb * np.exp(1j * pb)
+    alpha = 10.0**ra * np.exp(1j * pa)
+    beta = 10.0**rb * np.exp(1j * pb)
     base = fc.detect_factor(pair)
     scaled = fc.detect_factor(fc.OperatorPair(A=alpha * pair.A, B=beta * pair.B))
     assert scaled.status == base.status
@@ -288,6 +303,35 @@ def test_trace_det_constraints_match_unscaled_powers_in_range():
     assert constraints[1].source == f"nonzero det(AB) = {complex(np.linalg.det(A @ B)):.6g}"
 
 
+def _root_of_unity_pair(n: int, shift: int) -> fc.OperatorPair:
+    """A = diag(w^(-shift j)), B = diag(w^j), w = exp(2 pi i / n): tr[A B^k] = n
+    for k = shift (mod n), tr[A^k B] = n for shift k = 1 (mod n), and every
+    other trace vanishes."""
+    j = np.arange(n)
+    return fc.OperatorPair(A=np.diag(np.exp(-2j * np.pi * shift * j / n)), B=np.diag(np.exp(2j * np.pi * j / n)))
+
+
+@pytest.mark.parametrize(
+    "shift, kmax, witness",
+    [
+        (3, 16, "tr[A B^3]"),  # the A side's first, tr[A^11 B], comes later
+        (11, 16, "tr[A^3 B]"),  # before the B side's tr[A B^11]
+        (7, 16, "tr[A B^7]"),  # 7 * 7 = 1 (mod 16): at equal k the B side first
+        (3, 3, "tr[A B^3]"),
+        (11, 3, "tr[A^3 B]"),
+        (3, 2, None),  # kmax below m = 4 of a full sweep
+        (11, 1, None),
+    ],
+)
+def test_trace_witness_is_the_first_in_order_with_the_sides_run_in_turn(shift, kmax, witness):
+    """The B side runs first and the A side only below its witness; the one
+    reported is still the first of tr[A B^1], tr[A^1 B], tr[A B^2], ..."""
+    constraints = fc.trace_det_constraints(_root_of_unity_pair(16, shift), kmax=kmax)
+    traces = [c.source.removeprefix("nonzero trace ").split(" = ") for c in constraints if c.kind == "one"]
+    assert [name for name, _ in traces] == ([] if witness is None else [witness])
+    assert all(abs(complex(value) - 16) <= 1e-9 * 16 for _, value in traces)
+
+
 def _pauli_tensor_pair(n: int) -> fc.OperatorPair:
     """(sigma_x (x) H, sigma_y (x) H) for a positive definite H: they anticommute."""
     rng = rng_for(30, n)
@@ -353,9 +397,7 @@ def test_trace_witness_found_at_a_late_power(n, shift):
     At n = 128 the powers of B fall by 2^-k only because the scaling keeps
     ||B||_2 above 1/2; a scaling by the largest entry and n would have let
     B^120 underflow and lost the witness."""
-    j = np.arange(n)
-    pair = fc.OperatorPair(A=np.diag(np.exp(-2j * np.pi * shift * j / n)), B=np.diag(np.exp(2j * np.pi * j / n)))
-    traces = [c for c in fc.trace_det_constraints(pair, kmax=n) if c.kind == "one"]
+    traces = [c for c in fc.trace_det_constraints(_root_of_unity_pair(n, shift), kmax=n) if c.kind == "one"]
     assert len(traces) == 1
     name, value = traces[0].source.removeprefix("nonzero trace ").split(" = ")
     assert name == f"tr[A B^{shift}]"

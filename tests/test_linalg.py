@@ -11,7 +11,8 @@ from factorcomm.errors import (
     InvalidParameter,
     NotHermitian,
 )
-from factorcomm.sampling import ginibre, random_hermitian, rng_for
+from factorcomm.linalg import _scaled, _scaled_traces, adjoint, is_hermitian, singular_values
+from factorcomm.sampling import ginibre, random_hermitian, random_unitary, rng_for
 
 SX = fc.PAULI_X
 SY = fc.PAULI_Y
@@ -106,6 +107,19 @@ def test_hermitian_eig_paulis():
 def test_hermitian_eig_rejects_nonhermitian():
     with pytest.raises(NotHermitian):
         fc.hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+@pytest.mark.parametrize("scale", [1e-320, 1e-160, 1.0, 1e160, 1e307])
+def test_is_hermitian_keeps_its_cut_across_the_double_range(scale):
+    """||M - M*||_F <= tol * max(1, ||M||_F), judged on M scaled by a power
+    of two: entries near 1e160 no longer pass as inf <= tol * inf, and
+    subnormal ones meet the absolute floor without an overflow."""
+    M = np.array([[1.0, 2.0], [0.0, 3.0]]) * scale
+    assert is_hermitian(M) is (scale < 1e-9) and is_hermitian(M + M.T)
+    if 1.0 <= scale < 1e307:  # eigh of (M + M*) / 2 would overflow at 1e307
+        with pytest.raises(NotHermitian):
+            fc.hermitian_eig(M)
+        assert np.allclose(fc.hermitian_eig(M + M.T)[0] / scale, [4 - np.sqrt(8), 4 + np.sqrt(8)])
 
 
 def test_svd_examples():
@@ -206,6 +220,52 @@ def test_classify_structure_decides_nilpotency_after_a_change_of_basis():
     assert np.abs(fc.eigenvalues(M)).max() > 1e-3
     assert fc.classify_structure(M).quasi_nilpotent
     assert not fc.classify_structure(M + 1e-3 * np.eye(n)).quasi_nilpotent
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 16, 128])
+def test_scaled_traces_match_the_power_chain(n):
+    """Up to k = m = ceil(sqrt(kmax)) the baby steps are the chain X^k = X^(k-1) X
+    itself, so the traces are bitwise those of the chain; beyond, the giant
+    steps regroup the products and each trace stays within its rounding
+    bound of the chain's.  X is unitary up to scale, so no power vanishes
+    and every sweep runs to kmax."""
+    rng = rng_for(61, n)
+    X, _, norm2 = _scaled(random_unitary(rng, n), np.ones(1))
+    Y = ginibre(rng, n)
+    unit = n * np.finfo(np.float64).eps * np.sqrt(np.vdot(X, X).real * np.vdot(Y, Y).real)
+    m = int(np.ceil(np.sqrt(n)))
+    kmaxes = sorted({1, 2, 3, m * m, m * m + 1, n})
+    chain, power = [], X
+    for _ in range(kmaxes[-1]):
+        chain.append(complex(np.vdot(adjoint(Y), power)))
+        power = power @ X
+    for kmax in kmaxes:
+        got = list(_scaled_traces(X, Y, norm2, kmax))
+        assert len(got) == kmax
+        block = int(np.ceil(np.sqrt(kmax)))
+        for k, (trace, bound) in enumerate(got, start=1):
+            assert bound == pytest.approx((k + 1) * unit * norm2 ** (k - 1), rel=1e-12)
+            if k <= block:
+                assert trace == chain[k - 1]
+            else:
+                assert abs(trace - chain[k - 1]) <= bound
+
+
+def test_scaled_traces_stop_once_the_powers_vanish():
+    """A power sweep ends where no later trace can clear its bound: in the
+    first block at X^2 = 0, plain or after a change of basis, and before a
+    giant block for a shift of index 6 > m = 4."""
+    n = 16
+    U = random_unitary(rng_for(62), n)
+    rank_one = np.zeros((n, n), dtype=complex)
+    rank_one[6, 7] = 1.0  # the A of nilpotent-diag
+    shift = np.eye(n, k=-1) * (np.arange(n) < 5)  # X^6 = 0, X^5 != 0
+    for M, count in ((rank_one, 1), (U @ rank_one @ U.conj().T, 1), (shift, 8), (U @ shift @ U.conj().T, 8)):
+        X, _, norm2 = _scaled(M, singular_values(M))
+        traces = list(_scaled_traces(X, np.eye(n), norm2, n))
+        assert len(traces) == count
+        assert all(abs(trace) <= bound for trace, bound in traces)
+        assert fc.classify_structure(M).quasi_nilpotent
 
 
 def test_classify_structure_implications_random():
