@@ -6,8 +6,9 @@ Exit codes: 0 success/consistent, 1 condition-or-consistency failure,
 2 input error, 3 internal verification failure.
 
 Complex scalars on the command line are "re,im" pairs (a bare real is
-also accepted); lists of scalars are semicolon-separated.  Every --tol
-must be finite and positive; any other value exits 2.
+also accepted); lists of scalars are semicolon-separated.  Every --tol,
+and the --epsilon of stone, must be finite and positive, and stone's --a
+and --b finite; any other value exits 2.
 """
 
 import argparse

@@ -93,6 +93,9 @@ def _projection_from_eig(w: np.ndarray, U: np.ndarray, a: float, b: float, guard
 class StoneQuadratureSpec:
     """Quadrature recipe for the smoothed-resolvent projection.
 
+    ``nodes`` points of ``rule`` span the finite interval [a, b]; a coarse
+    rule on about half as many gives the error estimate (see
+    ``stone_projection``).  ``epsilon`` must be finite and positive.
     Endpoints must stay at distance > 10 * epsilon from every eigenvalue;
     closer endpoints make the split ill-conditioned and are rejected.
     """
@@ -103,11 +106,11 @@ class StoneQuadratureSpec:
     rule: str = TRAPEZOID
 
     def __post_init__(self):
-        a, b = self.interval
-        if not float(a) < float(b):
-            raise InvalidParameter(f"need a < b, got [{a}, {b}]")
-        if self.epsilon <= 0:
-            raise InvalidParameter("epsilon must be positive")
+        a, b = map(float, self.interval)
+        if not -np.inf < a < b < np.inf:  # also refuses nan
+            raise InvalidParameter(f"need finite a < b, got [{a}, {b}]")
+        if not 0.0 < self.epsilon < np.inf:  # also refuses nan
+            raise InvalidParameter(f"epsilon must be finite and positive, got {self.epsilon}")
         if self.nodes < 16:
             raise InvalidParameter("need at least 16 quadrature nodes")
         if self.rule not in (TRAPEZOID, GAUSS_LEGENDRE):
@@ -154,17 +157,32 @@ def _gauss_legendre(nodes: int):
     return x, w * (2.0 / w.sum())
 
 
-def _quadrature_nodes(spec: StoneQuadratureSpec, nodes: int):
+def _quadrature_rules(spec: StoneQuadratureSpec):
+    """Nodes t and a (2, t.size) weight matrix: row 0 is the fine rule on
+    ``spec.nodes`` points, row 1 the coarse rule behind the error estimate.
+
+    The trapezoid coarse rule is the trapezoid rule on every other fine
+    node from t_0, plus t_{N-1} when N is even: step 2h throughout for odd
+    N, closed by one step-h panel for even N.  It reuses the fine
+    resolvents, as the step-halving estimate of Romberg integration does.
+    Gauss-Legendre nodes do not nest, so that coarse rule gets its own
+    max(16, (N + 1) // 2) nodes after the fine ones.
+    """
     a, b = map(float, spec.interval)
+    N = spec.nodes
     if spec.rule == TRAPEZOID:
-        t = np.linspace(a, b, nodes)
-        h = (b - a) / (nodes - 1)
-        w = np.full(nodes, h)
-        w[0] = w[-1] = h / 2.0
-        return t, w
-    x, w = _gauss_legendre(nodes)
+        t = np.linspace(a, b, N)
+        W = np.zeros((2, N))
+        for row, idx in enumerate((np.arange(N), np.minimum(np.arange(0, N + 1, 2), N - 1))):
+            half_gaps = np.diff(idx) * ((b - a) / (N - 1) / 2.0)
+            W[row, idx[:-1]] += half_gaps
+            W[row, idx[1:]] += half_gaps
+        return t, W
+    (x, w), (x2, w2) = (_gauss_legendre(m) for m in (N, max(16, (N + 1) // 2)))
     mid, half = (a + b) / 2.0, (b - a) / 2.0
-    return mid + half * x, half * w
+    W = np.zeros((2, N + x2.size))
+    W[0, :N], W[1, N:] = half * w, half * w2
+    return mid + half * np.concatenate([x, x2]), W
 
 
 def _tridiagonal_inverses(d: np.ndarray, e: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -209,13 +227,16 @@ def stone_projection(A: np.ndarray, spec: StoneQuadratureSpec, tol: float = DEFA
 
     The eps-smoothing replaces the indicator of the interval by its
     Poisson average, an O(eps) perturbation away from the endpoints; the
-    quadrature error is estimated by re-evaluating on half the nodes.
-    ``exact_error`` compares against the eigendecomposition oracle.
+    quadrature error is estimated as the distance to a coarse rule on
+    about half the nodes.  For the trapezoid rule those are every other
+    fine node (plus the last one when ``nodes`` is even), so the estimate
+    costs no extra resolvents; Gauss-Legendre adds a half-size grid of its
+    own.  ``exact_error`` compares against the eigendecomposition oracle.
 
     The Hermitian part of A is reduced once to tridiagonal T = Q* A Q.
     For Hermitian T, R(t - i eps) = R(t + i eps)*, so the integrand is
     (S - S*) / 2 pi i with S the weighted sum of (T - t_k - i eps)^-1,
-    and both grids go through one sweep per node.
+    and each node goes through one sweep that feeds both rules.
     """
     A = as_matrix(A)
     if not is_hermitian(A, tol):
@@ -229,12 +250,10 @@ def stone_projection(A: np.ndarray, spec: StoneQuadratureSpec, tol: float = DEFA
         )
     exact = _projection_from_eig(eigs, U, a, b, tol * max(1.0, frob(A)))
 
-    t, w = _quadrature_nodes(spec, spec.nodes)
-    t2, w2 = _quadrature_nodes(spec, max(16, (spec.nodes + 1) // 2))
+    t, W = _quadrature_rules(spec)
     import scipy.linalg
     T, Q = scipy.linalg.hessenberg((A + A.conj().T) / 2.0, calc_q=True)
-    z = np.concatenate([t, t2]) + 1j * spec.epsilon
-    S = _resolvent_sums(T.diagonal().real, T.diagonal(-1), z, scipy.linalg.block_diag(w, w2))
+    S = _resolvent_sums(T.diagonal().real, T.diagonal(-1), t + 1j * spec.epsilon, W)
     proj, proj_coarse = Q @ ((S - S.conj().transpose(0, 2, 1)) / (2j * np.pi)) @ Q.conj().T
 
     return ProjectionResult(

@@ -4,6 +4,8 @@ Per-trial seeds derive from the user seed through a splitmix64 expansion,
 so trials are reproducible and independent of execution order.
 """
 
+from __future__ import annotations  # keeps numpy.random unloaded until a draw
+
 import numpy as np
 
 _MASK = (1 << 64) - 1

@@ -219,6 +219,19 @@ def test_stone_command(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", ["--epsilon=nan", "--epsilon=inf", "--a=-inf", "--b=inf", "--a=nan"])
+def test_stone_non_finite_parameter_exits_2_with_one_line(tmp_path, capsys, flag):
+    """Before, epsilon nan and the infinite endpoints exited 2 as 'out of
+    floating-point range', and epsilon inf as 'distance > inf'."""
+    mat = tmp_path / "d123.json"
+    mat.write_text(json.dumps(fc.matrix_to_json(np.diag([1.0, 2.0, 3.0]).astype(complex))))
+    assert main(["stone", str(mat), "--a", "1.5", "--b", "2.5", flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and "finite" in captured.err
+
+
 def test_suite_command_exit_codes(capsys):
     assert main(["suite", "--seed", "42", "--trials", "2"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -282,24 +295,30 @@ def scipy_modules():
 work = sys.argv[1]
 pair, diag = os.path.join(work, "pair.json"), os.path.join(work, "diag.json")
 after_import = scipy_modules()
+random_loaded = {"after_import": "numpy.random" in sys.modules}
 codes = [cli.main(["generate", "--kind", "clock-shift", "--n", "4", "--out", pair]),
          cli.main(["generate", "--kind", "clock-shift"])]
 after_generate = scipy_modules()
+random_loaded["after_generate"] = "numpy.random" in sys.modules
 with open(diag, "w") as handle:
     json.dump(factorcomm.matrix_to_json([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]]), handle)
 codes.append(cli.main(["analyze", pair]))
 after_analyze = scipy_modules()
+random_loaded["after_analyze"] = "numpy.random" in sys.modules
 codes += [cli.main(["stone", diag, "--a", "1.5", "--b", "2.5", "--nodes", "400"]),
           cli.main(["commutant", diag, "--lambda", "1"])]
 print(json.dumps({"after_import": after_import, "after_generate": after_generate,
-                  "after_analyze": after_analyze, "codes": codes, "at_exit": scipy_modules()}))
+                  "after_analyze": after_analyze, "codes": codes, "at_exit": scipy_modules(),
+                  "random_loaded": random_loaded}))
 """
 
 
 def test_import_and_generate_load_no_scipy(tmp_path):
     """scipy is imported inside the functions that call it, so start-up,
     generate, analyze and error paths pay only for numpy; stone and
-    commutant load scipy.linalg, and no command loads scipy.optimize."""
+    commutant load scipy.linalg, and no command loads scipy.optimize.
+    Nothing up to analyze draws a random number, so numpy.random stays
+    unloaded too."""
     src = str(Path(fc.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", LAZY_SCIPY_SCRIPT, str(tmp_path)],
@@ -311,6 +330,7 @@ def test_import_and_generate_load_no_scipy(tmp_path):
     assert result["after_import"] == []
     assert result["after_generate"] == []
     assert result["after_analyze"] == []
+    assert result["random_loaded"] == {"after_import": False, "after_generate": False, "after_analyze": False}
     assert result["codes"] == [0, 2, 0, 0, 0]
     assert "scipy.linalg" in result["at_exit"]
     assert not [m for m in result["at_exit"] if m.startswith("scipy.optimize")]

@@ -110,6 +110,17 @@ def test_stone_spec_validation():
         fc.StoneQuadratureSpec(interval=(1.0, 2.0), epsilon=1e-3, nodes=100, rule="simpson")
 
 
+@pytest.mark.parametrize(
+    "interval, epsilon",
+    [((1.5, np.inf), 1e-3), ((-np.inf, 2.5), 1e-3), ((np.nan, 2.5), 1e-3), ((1.5, 2.5), np.nan), ((1.5, 2.5), np.inf)],
+)
+def test_stone_spec_refuses_non_finite_values(interval, epsilon):
+    """Before, the infinite or NaN cases returned an all-NaN projection, and
+    epsilon=inf was refused as 'distance > inf from the spectrum'."""
+    with pytest.raises(InvalidParameter, match="finite"):
+        fc.StoneQuadratureSpec(interval=interval, epsilon=epsilon, nodes=100)
+
+
 def test_stone_projection_oracle():
     spec = fc.StoneQuadratureSpec(interval=(1.5, 2.5), epsilon=1e-3, nodes=2000)
     result = fc.stone_projection(DIAG123, spec)
@@ -197,14 +208,35 @@ def guarded_hermitian(rng, n, eps):
     return (U * eigs) @ U.conj().T
 
 
-def assert_matches_dense_route(A, spec):
+def trapezoid_weights(t):
+    """Trapezoid weights over the gaps of the grid t, even or not."""
+    half_gaps = np.diff(t) / 2.0
+    return np.r_[half_gaps, 0.0] + np.r_[0.0, half_gaps]
+
+
+def reference_rules(spec):
+    """(nodes, weights) of the fine and of the coarse rule, built apart from
+    the kernel's weight matrix: the trapezoid coarse rule takes every other
+    fine node plus the last one, Gauss-Legendre a half-size grid of its own."""
+    a, b = spec.interval
+    if spec.rule == "gauss-legendre":
+        rules = []
+        for m in (spec.nodes, max(16, (spec.nodes + 1) // 2)):
+            x, w = resolvent_mod._gauss_legendre(m)
+            rules.append(((a + b) / 2 + (b - a) / 2 * x, (b - a) / 2 * w))
+        return rules
+    t = np.linspace(a, b, spec.nodes)
+    sub = t[sorted({*range(0, spec.nodes, 2), spec.nodes - 1})]
+    return [(t, trapezoid_weights(t)), (sub, trapezoid_weights(sub))]
+
+
+def assert_matches_dense_route(A, spec, coarse_rule=None):
     """Both routes round at about u * ||A|| / eps relative to the sums they
-    form, so they must agree to max(1e-12, 5 u ||A|| / eps) of those sums."""
+    form, so they must agree to max(1e-12, 5 u ||A|| / eps) of those sums.
+    ``coarse_rule`` replaces the reference coarse (nodes, weights)."""
     result = fc.stone_projection(A, spec)
-    fine, coarse = (
-        dense_stone_sum(A, *resolvent_mod._quadrature_nodes(spec, m), spec.epsilon)
-        for m in (spec.nodes, max(16, (spec.nodes + 1) // 2))
-    )
+    rules = reference_rules(spec)
+    fine, coarse = (dense_stone_sum(A, t, w, spec.epsilon) for t, w in (rules[0], coarse_rule or rules[1]))
     rtol = max(1e-12, 5 * np.finfo(float).eps * np.linalg.norm(A, 2) / spec.epsilon)
     assert np.linalg.norm(result.projection - fine) <= rtol * max(1.0, np.linalg.norm(fine))
     # an under-resolved coarse grid (a node within ~eps of an eigenvalue)
@@ -230,12 +262,44 @@ def test_stone_kernel_matches_dense_route_on_nearly_hermitian_input():
     assert_matches_dense_route(A, fc.StoneQuadratureSpec(STONE_INTERVAL, 1e-3, 301))
 
 
+@pytest.mark.parametrize("n", [3, 16])
+def test_stone_estimate_for_odd_node_counts_matches_the_half_size_grid(n):
+    """For odd N, every other fine node is linspace(a, b, (N + 1) // 2) up to
+    rounding, so the estimate is the one a separate half-size grid gives."""
+    rng = rng_for(1250, n)
+    for eps in (1e-2, 1e-3):
+        M = guarded_hermitian(rng, n, eps)
+        A = (M + M.conj().T) / 2.0
+        for nodes in (201, 301):
+            t2 = np.linspace(*STONE_INTERVAL, (nodes + 1) // 2)
+            spec = fc.StoneQuadratureSpec(STONE_INTERVAL, eps, nodes)
+            assert_matches_dense_route(A, spec, coarse_rule=(t2, trapezoid_weights(t2)))
+
+
+@pytest.mark.parametrize("nodes", [16, 201, 400])
+@pytest.mark.parametrize("rule", ["trapezoid", "gauss-legendre"])
+def test_stone_sweeps_each_node_once(monkeypatch, rule, nodes):
+    """The trapezoid estimate reuses the fine resolvents; Gauss-Legendre
+    sweeps its own max(16, (N + 1) // 2) coarse nodes as well."""
+    swept = []
+    real = resolvent_mod._tridiagonal_inverses
+
+    def counted(d, e, z):
+        swept.append(z.size)
+        return real(d, e, z)
+
+    monkeypatch.setattr(resolvent_mod, "_tridiagonal_inverses", counted)
+    fc.stone_projection(DIAG123, fc.StoneQuadratureSpec((1.5, 2.5), 1e-2, nodes, rule))
+    coarse = max(16, (nodes + 1) // 2) if rule == "gauss-legendre" else 0
+    assert sum(swept) == nodes + coarse
+
+
 def test_stone_kernel_chunking_does_not_change_the_sum(monkeypatch):
     A = guarded_hermitian(rng_for(1400), 8, 1e-3)
     spec = fc.StoneQuadratureSpec(STONE_INTERVAL, 1e-3, 301)
     whole = fc.stone_projection(A, spec)
-    # 7 nodes per chunk: 452 nodes in 65 chunks, the last one partial
-    monkeypatch.setattr(resolvent_mod, "_CHUNK_BYTES", 7 * 16 * 8 * 8)
+    # 8 nodes per chunk: 301 nodes in 38 chunks, the last one partial
+    monkeypatch.setattr(resolvent_mod, "_CHUNK_BYTES", 8 * 16 * 8 * 8)
     chunked = fc.stone_projection(A, spec)
     assert np.linalg.norm(whole.projection - chunked.projection) <= 1e-13
     assert whole.quadrature_error_estimate == pytest.approx(chunked.quadrature_error_estimate, rel=1e-12)
