@@ -93,11 +93,11 @@ def _projection_from_eig(w: np.ndarray, U: np.ndarray, a: float, b: float, guard
 class StoneQuadratureSpec:
     """Quadrature recipe for the smoothed-resolvent projection.
 
-    ``nodes`` points of ``rule`` span the finite interval [a, b]; a coarse
-    rule on about half as many gives the error estimate (see
-    ``stone_projection``).  ``epsilon`` must be finite and positive.
-    Endpoints must stay at distance > 10 * epsilon from every eigenvalue;
-    closer endpoints make the split ill-conditioned and are rejected.
+    ``nodes`` points of ``rule`` span the finite interval [a, b]; coarser
+    rules give the error estimate (see ``stone_projection``).  ``epsilon``
+    must be finite and positive.  Endpoints must stay at distance
+    > 10 * epsilon from every eigenvalue; closer endpoints make the split
+    ill-conditioned and are rejected.
     """
 
     interval: tuple[float, float]
@@ -158,25 +158,27 @@ def _gauss_legendre(nodes: int):
 
 
 def _quadrature_rules(spec: StoneQuadratureSpec):
-    """Nodes t and a (2, t.size) weight matrix: row 0 is the fine rule on
-    ``spec.nodes`` points, row 1 the coarse rule behind the error estimate.
+    """Nodes t and a weight matrix with one row per rule: row 0 is the fine
+    rule on ``spec.nodes`` points, the rows after it the coarse rules behind
+    the error estimate.
 
-    The trapezoid coarse rule is the trapezoid rule on every other fine
-    node from t_0, plus t_{N-1} when N is even: step 2h throughout for odd
-    N, closed by one step-h panel for even N.  It reuses the fine
-    resolvents, as the step-halving estimate of Romberg integration does.
-    Gauss-Legendre nodes do not nest, so that coarse rule gets its own
+    The trapezoid rule has three coarse rules, one per residue j = 0, 1, 2:
+    the trapezoid rule on the fine nodes t_j, t_{j+3}, ..., closed by the
+    end nodes t_0 and t_{N-1}.  They reuse the fine resolvents, as the
+    step-halving estimate of Romberg integration does.  Gauss-Legendre
+    nodes do not nest, so its one coarse rule gets its own
     max(16, (N + 1) // 2) nodes after the fine ones.
     """
     a, b = map(float, spec.interval)
     N = spec.nodes
     if spec.rule == TRAPEZOID:
         t = np.linspace(a, b, N)
-        W = np.zeros((2, N))
-        for row, idx in enumerate((np.arange(N), np.minimum(np.arange(0, N + 1, 2), N - 1))):
-            half_gaps = np.diff(idx) * ((b - a) / (N - 1) / 2.0)
-            W[row, idx[:-1]] += half_gaps
-            W[row, idx[1:]] += half_gaps
+        half_h = (b - a) / (N - 1) / 2.0
+        W = np.empty((4, N))
+        subsets = [np.arange(N)] + [np.concatenate(([0], np.arange(j, N, 3), [N - 1])) for j in range(3)]
+        for row, idx in zip(W, subsets):  # a repeated index makes a zero gap
+            half_gaps = np.diff(idx) * half_h
+            row[:] = np.bincount(idx[:-1], half_gaps, N) + np.bincount(idx[1:], half_gaps, N)
         return t, W
     (x, w), (x2, w2) = (_gauss_legendre(m) for m in (N, max(16, (N + 1) // 2)))
     mid, half = (a + b) / 2.0, (b - a) / 2.0
@@ -227,16 +229,20 @@ def stone_projection(A: np.ndarray, spec: StoneQuadratureSpec, tol: float = DEFA
 
     The eps-smoothing replaces the indicator of the interval by its
     Poisson average, an O(eps) perturbation away from the endpoints; the
-    quadrature error is estimated as the distance to a coarse rule on
-    about half the nodes.  For the trapezoid rule those are every other
-    fine node (plus the last one when ``nodes`` is even), so the estimate
-    costs no extra resolvents; Gauss-Legendre adds a half-size grid of its
-    own.  ``exact_error`` compares against the eigendecomposition oracle.
+    quadrature error is estimated as the largest distance to a coarse rule.
+    For the trapezoid rule those are three rules on every third fine node,
+    one per offset, so the estimate costs no extra resolvents.  Each
+    eigenvalue sits at a different phase of the three coarse grids, and no
+    phase hides the aliasing error from all three: an eigenvalue midway
+    between two fine nodes, where a rule on every other node would agree
+    with the fine one, is seen.  Gauss-Legendre adds a half-size grid of
+    its own.  ``exact_error`` compares against the eigendecomposition
+    oracle.
 
     The Hermitian part of A is reduced once to tridiagonal T = Q* A Q.
     For Hermitian T, R(t - i eps) = R(t + i eps)*, so the integrand is
     (S - S*) / 2 pi i with S the weighted sum of (T - t_k - i eps)^-1,
-    and each node goes through one sweep that feeds both rules.
+    and each node goes through one sweep that feeds every rule.
     """
     A = as_matrix(A)
     if not is_hermitian(A, tol):
@@ -254,12 +260,14 @@ def stone_projection(A: np.ndarray, spec: StoneQuadratureSpec, tol: float = DEFA
     import scipy.linalg
     T, Q = scipy.linalg.hessenberg((A + A.conj().T) / 2.0, calc_q=True)
     S = _resolvent_sums(T.diagonal().real, T.diagonal(-1), t + 1j * spec.epsilon, W)
-    proj, proj_coarse = Q @ ((S - S.conj().transpose(0, 2, 1)) / (2j * np.pi)) @ Q.conj().T
+    P = (S - S.conj().transpose(0, 2, 1)) / (2j * np.pi)
+    proj = Q @ P[0] @ Q.conj().T
 
     return ProjectionResult(
         projection=proj,
         epsilon_used=spec.epsilon,
-        quadrature_error_estimate=frob(proj - proj_coarse),
+        # Q is unitary, so the distances need no change of basis
+        quadrature_error_estimate=max(frob(P[0] - coarse) for coarse in P[1:]),
         exact_error=frob(proj - exact),
     )
 
