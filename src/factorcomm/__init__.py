@@ -83,7 +83,6 @@ from .resolvent import (
     TransportedBoundReport,
     default_node_count,
     exact_projection,
-    resolvent,
     resolvent_norm_check,
     stone_projection,
     transported_integrand_bound,

@@ -57,7 +57,11 @@ def parse_complex_list(text: str) -> list[complex]:
 
 
 def _emit(obj: dict) -> None:
-    print(json.dumps(obj, indent=2))
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError as exc:  # an inf or nan in a report, which JSON cannot carry
+        raise OverflowError(str(exc)) from exc
+    print(text)
 
 
 def _load_json_file(path: str):

@@ -30,7 +30,6 @@ from .linalg import (
     require_square,
     singular_values,
 )
-from .sampling import ginibre, rng_for
 
 UNIQUE = "UNIQUE"
 ANY = "ANY"
@@ -169,9 +168,7 @@ def detect_factor(pair: OperatorPair, tol: float = DEFAULT_TOL) -> FactorReport:
     where they leave the double range.
     """
     (A, a), (B, b) = _entry_scaled(pair.A), _entry_scaled(pair.B)
-    factor = _fit_factor(A, B, A @ B, B @ A, tol)
-    factor.ab_norm, factor.ba_norm = (_ldexp_or_inf(x, a + b) for x in (factor.ab_norm, factor.ba_norm))
-    return factor
+    return _fit_factor(A, B, A @ B, B @ A, a + b, tol)
 
 
 def _ldexp_or_inf(x: float, exponent: int) -> float:
@@ -182,20 +179,24 @@ def _ldexp_or_inf(x: float, exponent: int) -> float:
         return math.inf
 
 
-def _fit_factor(A: np.ndarray, B: np.ndarray, AB: np.ndarray, BA: np.ndarray, tol: float) -> FactorReport:
-    """``detect_factor`` with the products AB and BA already formed."""
+def _fit_factor(
+    A: np.ndarray, B: np.ndarray, AB: np.ndarray, BA: np.ndarray, exponent: int, tol: float
+) -> FactorReport:
+    """``detect_factor`` for A 2**-a and B 2**-b with the products AB and BA
+    already formed; the norms are reported times 2**exponent, a + b."""
     ab_norm, ba_norm = frob(AB), frob(BA)
     zero_cut = tol * frob(A) * frob(B)
+    norms = {"ab_norm": _ldexp_or_inf(ab_norm, exponent), "ba_norm": _ldexp_or_inf(ba_norm, exponent)}
 
     if ab_norm <= zero_cut and ba_norm <= zero_cut:
-        return FactorReport(status=ANY, lambda_hat=None, residual=0.0, ab_norm=ab_norm, ba_norm=ba_norm)
+        return FactorReport(status=ANY, lambda_hat=None, residual=0.0, **norms)
     if ab_norm <= zero_cut or ba_norm <= zero_cut:  # one product is 0, the other not: no nonzero factor relates them
-        return FactorReport(status=NONE, lambda_hat=None, residual=1.0, ab_norm=ab_norm, ba_norm=ba_norm)
+        return FactorReport(status=NONE, lambda_hat=None, residual=1.0, **norms)
 
     lam = complex(np.vdot(BA, AB) / np.vdot(BA, BA).real)
     residual = frob(AB - lam * BA) / ab_norm if ab_norm else 0.0
     status = UNIQUE if residual <= 10.0 * tol else NONE
-    return FactorReport(status=status, lambda_hat=lam, residual=residual, ab_norm=ab_norm, ba_norm=ba_norm)
+    return FactorReport(status=status, lambda_hat=lam, residual=residual, **norms)
 
 
 def _assignment_match(left: np.ndarray, right: np.ndarray, tol: float) -> SpectrumMatchReport:
@@ -399,7 +400,8 @@ def classify_pair(
 
     Every check runs on A 2**-a and B 2**-b, scaled by ``_scaled`` with
     relative cuts, so no verdict depends on the scale of either factor;
-    norms, distances and printed values are converted back exactly.
+    norms, distances and printed values are converted back exactly, a
+    product norm beyond the double range to inf.
     A, B and AB (unless A and B are invertible) are judged nilpotent from
     power sums; a nilpotent product's spectrum {0} also serves for BA.
     """
@@ -407,8 +409,7 @@ def classify_pair(
     scaled_A, scaled_B = _scaled(pair.A, s_A), _scaled(pair.B, s_B)
     (A, a, norm_A), (B, b, norm_B) = scaled_A, scaled_B
     AB, BA = A @ B, B @ A
-    factor = _fit_factor(A, B, AB, BA, tol)
-    factor.ab_norm, factor.ba_norm = math.ldexp(factor.ab_norm, a + b), math.ldexp(factor.ba_norm, a + b)
+    factor = _fit_factor(A, B, AB, BA, a + b, tol)
     flags_A, eig_A = _flags_and_spectrum(scaled_A, s_A, tol)
     flags_B, eig_B = _flags_and_spectrum(scaled_B, s_B, tol)
     invertible = flags_A.invertible and flags_B.invertible
@@ -483,14 +484,16 @@ def solve_lambda_commutant(
     In an orthonormal eigenbasis of A with eigenvalues a_1..a_n the
     equation reads (a_i - lambda a_j) B_ij = 0, so the space is spanned by
     the matrix units at index pairs with a_i = lambda a_j; those units are
-    transformed back to the original basis.  Eigenvalue coincidence is
-    judged at tol * max(1, ||A||_F).
+    transformed back to the original basis.  Normality and eigenvalue
+    coincidence are judged relative to ||A||_F, on A scaled by
+    ``_entry_scaled``.
     """
     A = as_matrix(A)
     require_square(A)
     if lam == 0:
         raise InvalidParameter("lambda must be nonzero")
-    scale = max(1.0, frob(A))
+    A = _entry_scaled(A)[0]
+    scale = frob(A)
     if frob(A @ A.conj().T - A.conj().T @ A) > tol * scale * scale:
         raise NotNormal("matrix is not normal within tolerance")
     import scipy.linalg
@@ -505,27 +508,13 @@ def solve_lambda_commutant(
     return basis
 
 
-def measurement_map_check(
-    pair: OperatorPair,
-    trials: int = 50,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
-) -> bool:
-    """Randomized check that X -> AB X BA and X -> BA X AB agree.
+def measurement_map_check(pair: OperatorPair, tol: float = DEFAULT_TOL) -> bool:
+    """Whether X -> AB X BA and X -> BA X AB agree for every X.
 
-    Draws ``trials`` seeded matrices with i.i.d. standard complex Gaussian
-    entries and compares the two maps on each; per-trial seeds derive from
-    ``seed`` so results are reproducible and schedule-independent.
+    They agree exactly when AB and BA are linearly dependent, which
+    ``detect_factor`` decides without regard to scale: a factor fits
+    (UNIQUE), both products vanish (ANY), or exactly one does (NONE with
+    no fitted factor).
     """
-    if trials < 1:
-        raise InvalidParameter("trials must be at least 1")
-    AB = pair.A @ pair.B
-    BA = pair.B @ pair.A
-    n = pair.dim
-    for t in range(trials):
-        X = ginibre(rng_for(seed, t), n)
-        lhs = AB @ X @ BA
-        rhs = BA @ X @ AB
-        if frob(lhs - rhs) > tol * max(1.0, frob(lhs)):
-            return False
-    return True
+    factor = detect_factor(pair, tol)
+    return factor.status != NONE or factor.lambda_hat is None

@@ -13,7 +13,7 @@ import numpy as np
 
 from .commutation import OperatorPair
 from .errors import ConditionFailed, DimensionMismatch, NotHermitian, VerificationFailed
-from .linalg import DEFAULT_TOL, _JsonReport, frob, is_hermitian, polar
+from .linalg import DEFAULT_TOL, _JsonReport, _entry_scaled, _hermitian, frob, polar
 
 
 @dataclass
@@ -47,18 +47,28 @@ class GudderNagyReport(_JsonReport):
     rhs_magnitude_ba: float
 
 
-def _require_hermitian_pair(pair: OperatorPair, tol: float) -> None:
-    if not is_hermitian(pair.A, tol):
-        raise NotHermitian("A is not Hermitian within tolerance")
-    if not is_hermitian(pair.B, tol):
-        raise NotHermitian("B is not Hermitian within tolerance")
+def _scaled_products(pair: OperatorPair, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(A, B, AB, BA) for A 2**-a and B 2**-b from ``_entry_scaled``, both
+    checked Hermitian as ``is_hermitian`` checks them.  Each check below
+    takes the ``_gap`` of two products of these, so no verdict depends on
+    the scale of A or B."""
+    (A, _), (B, _) = _entry_scaled(pair.A), _entry_scaled(pair.B)
+    for name, M in (("A", A), ("B", B)):
+        if not _hermitian(M, tol):
+            raise NotHermitian(f"{name} is not Hermitian within tolerance")
+    return A, B, A @ B, B @ A
 
 
-def _norm_condition_magnitude(pair: OperatorPair) -> float:
-    A, B = pair.A, pair.B
-    lhs = A @ B @ B @ A
-    rhs = B @ A @ A @ B
-    return frob(lhs - rhs) / max(1.0, frob(lhs))
+def _gap(X: np.ndarray, Y: np.ndarray) -> tuple[float, float]:
+    """(||X - Y||_F, ||X||_F): X = Y within tol when the first is at most tol
+    times the second, with no floor and no division."""
+    return frob(X - Y), frob(X)
+
+
+def _relative(x: float, scale: float) -> float:
+    """x / scale for a report: 0 for x = 0 and inf for x > 0 = scale, so it
+    is at most tol where x <= tol * scale."""
+    return x / scale if scale else np.inf if x else 0.0
 
 
 def check_norm_condition(pair: OperatorPair, tol: float = DEFAULT_TOL) -> bool:
@@ -69,23 +79,19 @@ def check_norm_condition(pair: OperatorPair, tol: float = DEFAULT_TOL) -> bool:
     raises, since that would indicate a numerics bug rather than a
     property of the input.  The guard bands are wide because the matrix
     square root halves the number of accurate digits near the boundary.
+    AB^2A and BA^2B are taken as (AB)(BA) and (BA)(AB).
     """
-    _require_hermitian_pair(pair, tol)
-    mag = _norm_condition_magnitude(pair)
-    ok = mag <= tol
+    _, _, AB, BA = _scaled_products(pair, tol)
+    diff, size = _gap(AB @ BA, BA @ AB)
+    ok = diff <= tol * size
 
-    abs_ab = polar(pair.A @ pair.B, tol).absC
-    abs_ba = polar(pair.B @ pair.A, tol).absC
-    polar_gap = frob(abs_ab - abs_ba) / max(1.0, frob(abs_ab))
+    gap, gap_scale = _gap(polar(AB, tol).absC, polar(BA, tol).absC)
     sqrt_tol = float(np.sqrt(max(tol, 1e-15)))
-    if ok and polar_gap > 10.0 * sqrt_tol:
-        raise VerificationFailed(
-            f"AB^2A = BA^2B holds ({mag:.3e}) but |AB| differs from |BA| ({polar_gap:.3e})"
-        )
-    if not ok and mag > sqrt_tol and polar_gap <= tol:
-        raise VerificationFailed(
-            f"AB^2A != BA^2B ({mag:.3e}) but |AB| matches |BA| ({polar_gap:.3e})"
-        )
+    mag, polar_gap = _relative(diff, size), _relative(gap, gap_scale)
+    if ok and gap > 10.0 * sqrt_tol * gap_scale:
+        raise VerificationFailed(f"AB^2A = BA^2B holds ({mag:.3e}) but |AB| differs from |BA| ({polar_gap:.3e})")
+    if not ok and diff > sqrt_tol * size and gap <= tol * gap_scale:
+        raise VerificationFailed(f"AB^2A != BA^2B ({mag:.3e}) but |AB| matches |BA| ({polar_gap:.3e})")
     return ok
 
 
@@ -93,27 +99,16 @@ def gudder_nagy_check(pair: OperatorPair, tol: float = DEFAULT_TOL) -> GudderNag
     """Evaluate AB^2A = BA^2B against (AB^2 = B^2A and BA^2 = A^2B).
 
     The two sides are equivalent for Hermitian pairs; ``consistent``
-    asserts exactly that and must hold for every valid input.
+    asserts exactly that and must hold for every valid input.  AB^2 and
+    B^2A are taken as (AB)B and B(BA), BA^2 and A^2B as (BA)A and A(AB).
     """
-    _require_hermitian_pair(pair, tol)
-    A, B = pair.A, pair.B
-    lhs_mag = _norm_condition_magnitude(pair)
-    ab2 = A @ B @ B
-    b2a = B @ B @ A
-    ba2 = B @ A @ A
-    a2b = A @ A @ B
-    mag_ab = frob(ab2 - b2a) / max(1.0, frob(ab2))
-    mag_ba = frob(ba2 - a2b) / max(1.0, frob(ba2))
-    lhs_holds = bool(lhs_mag <= tol)
-    rhs_holds = bool(mag_ab <= tol and mag_ba <= tol)
-    return GudderNagyReport(
-        lhs_holds=lhs_holds,
-        rhs_holds=rhs_holds,
-        consistent=lhs_holds == rhs_holds,
-        lhs_magnitude=lhs_mag,
-        rhs_magnitude_ab=mag_ab,
-        rhs_magnitude_ba=mag_ba,
-    )
+    A, B, AB, BA = _scaled_products(pair, tol)
+    gaps = _gap(AB @ BA, BA @ AB), _gap(AB @ B, B @ BA), _gap(BA @ A, A @ AB)
+    lhs_holds, holds_ab, holds_ba = (bool(x <= tol * scale) for x, scale in gaps)
+    rhs_holds = holds_ab and holds_ba
+    lhs_mag, mag_ab, mag_ba = (_relative(x, scale) for x, scale in gaps)
+    return GudderNagyReport(lhs_holds=lhs_holds, rhs_holds=rhs_holds, consistent=lhs_holds == rhs_holds,
+                            lhs_magnitude=lhs_mag, rhs_magnitude_ab=mag_ab, rhs_magnitude_ba=mag_ba)
 
 
 def construct_intertwiner(pair: OperatorPair, tol: float = DEFAULT_TOL) -> UnitaryIntertwiner:
@@ -124,42 +119,37 @@ def construct_intertwiner(pair: OperatorPair, tol: float = DEFAULT_TOL) -> Unita
     intertwines the two products; both facts are verified and a failure
     raises VerificationFailed because the construction is guaranteed to
     succeed when the precondition holds (a failure signals a rank-cutoff
-    misclassification, not a property of the input).
+    misclassification, not a property of the input).  V, P and Q do not
+    depend on the scale of AB, so they come from the scaled product.
     """
-    _require_hermitian_pair(pair, tol)
-    mag = _norm_condition_magnitude(pair)
-    if mag > tol:
-        raise ConditionFailed(f"AB^2A != BA^2B (relative magnitude {mag:.3e})")
+    _, _, AB, BA = _scaled_products(pair, tol)
+    diff, size = _gap(AB @ BA, BA @ AB)
+    if diff > tol * size:
+        raise ConditionFailed(f"AB^2A != BA^2B (relative magnitude {_relative(diff, size):.3e})")
 
-    AB = pair.A @ pair.B
-    BA = pair.B @ pair.A
     parts = polar(AB, tol)
     U = parts.V @ parts.V + parts.Q
 
     residual_unitary = frob(U.conj().T @ U - np.eye(pair.dim))
-    residual_intertwine = frob(AB - U @ BA) / max(1.0, frob(AB))
-    if residual_unitary > tol or residual_intertwine > 10.0 * tol:
+    gap, ab_norm = _gap(AB, U @ BA)
+    residual_intertwine = _relative(gap, ab_norm)
+    if residual_unitary > tol or gap > 10.0 * tol * ab_norm:
         raise VerificationFailed(
             f"intertwiner residuals too large: unitary {residual_unitary:.3e}, "
             f"intertwine {residual_intertwine:.3e}"
         )
-    return UnitaryIntertwiner(
-        U=U,
-        V=parts.V,
-        P=parts.P,
-        Q=parts.Q,
-        residual_intertwine=residual_intertwine,
-        residual_unitary=residual_unitary,
-    )
+    return UnitaryIntertwiner(U=U, V=parts.V, P=parts.P, Q=parts.Q,
+                              residual_intertwine=residual_intertwine, residual_unitary=residual_unitary)
 
 
 def verify_intertwiner(pair: OperatorPair, U: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff U is unitary and AB = U BA, both within tolerance."""
+    """True iff U is unitary and AB = U BA, both within tolerance, the
+    second relative to ||AB||_F on A and B scaled by ``_entry_scaled``."""
     U = np.asarray(U, dtype=np.complex128)
     if U.shape != pair.A.shape:
         raise DimensionMismatch(f"U has shape {U.shape}, expected {pair.A.shape}")
-    AB = pair.A @ pair.B
-    BA = pair.B @ pair.A
+    (A, _), (B, _) = _entry_scaled(pair.A), _entry_scaled(pair.B)
+    gap, ab_norm = _gap(A @ B, U @ (B @ A))
     unitary_ok = frob(U.conj().T @ U - np.eye(pair.dim)) <= tol
-    intertwine_ok = frob(AB - U @ BA) <= tol * max(1.0, frob(AB))
+    intertwine_ok = gap <= tol * ab_norm
     return bool(unitary_ok and intertwine_ok)

@@ -2,11 +2,13 @@
 
 Everything downstream works on plain ``numpy`` arrays of ``complex128``.
 Matrices are treated as immutable values: every function returns fresh
-arrays and never writes to its inputs.  The intertwiner, resolvent and
-realizations modules call a quantity "zero" when its Frobenius norm is at
-most ``tol * max(1, scale)`` for the natural scale of the comparison; the
-structure flags below and ``commutation.classify_pair`` use plain relative
-cuts on a matrix first scaled by a power of two.
+arrays and never writes to its inputs.  Checks on a matrix or a pair
+(structure flags, ``is_hermitian``, commutation, intertwiner) scale each
+factor by a power of two and call x negligible at ``x <= tol * scale``, so
+no verdict depends on the scale of the input.  Spectrum matching keeps
+``tol * max(1, largest modulus)`` on the scaled spectra, and the resolvent
+and realizations modules ``tol * max(1, scale)``: they compare against
+absolute points and targets.
 
 A singular matrix is nilpotent when no power sum tr[M^k], k = 1..n,
 clears its rounding bound, and then has the spectrum {0} by decision, with
@@ -14,8 +16,6 @@ no eigenvalues computed.  m eigenvalues c w^j with c^m below about n eps
 read as nilpotent.  PSD and PD are read from the general eigenvalues.
 Power sums, like the traces tr[A B^k] of the trace rule, come from one
 baby-step giant-step sweep: about 2 sqrt(n) matrix products for n powers.
-``is_hermitian`` also judges M scaled by a power of two, from its largest
-entry.
 """
 
 import math
@@ -81,15 +81,16 @@ def eigenvalues(M: np.ndarray) -> np.ndarray:
 
 
 def is_hermitian(M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Whether ||M - M*||_F <= tol * max(1, ||M||_F).
+    """Whether ||M - M*||_F <= tol * ||M||_F, the cut of ``classify_structure``.
 
-    Judged on M 2**-e from ``_entry_scaled`` against tol * max(2**-e,
-    ||M 2**-e||_F), the same cut, so no norm overflows.
+    Judged on M 2**-e from ``_entry_scaled``, so no norm under- or overflows.
     """
-    if M.shape[0] != M.shape[1]:
-        return False
-    M, e = _entry_scaled(M)
-    return frob(M - M.conj().T) <= tol * max(math.ldexp(1.0, -e), frob(M))
+    return M.shape[0] == M.shape[1] and _hermitian(_entry_scaled(M)[0], tol)
+
+
+def _hermitian(M: np.ndarray, tol: float) -> bool:
+    """``is_hermitian`` for a matrix already scaled by a power of two."""
+    return frob(M - M.conj().T) <= tol * frob(M)
 
 
 def hermitian_eig(M: np.ndarray, tol: float = DEFAULT_TOL):
@@ -372,7 +373,7 @@ def _flags_and_spectrum(scaled: tuple, s: np.ndarray, tol: float) -> tuple[Struc
     M, _, norm2 = scaled
     invertible = bool(s.size and s[-1] > tol * s[0])
     nilpotent, eigs = _spectrum(M, norm2, not invertible)
-    hermitian = frob(M - M.conj().T) <= tol * frob(M)
+    hermitian = _hermitian(M, tol)
     w = eigs.real
     cut = tol * np.abs(w).max()
     # ||M*M - I||_F = ||s^2 - 1||_2, with no product that squares the entries

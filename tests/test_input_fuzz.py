@@ -1,4 +1,5 @@
-"""Fuzz the JSON input boundary: matrix and pair loaders and `analyze`.
+"""Fuzz the JSON input boundary: matrix and pair loaders, `analyze`, and
+`intertwine` and `commutant` on Hermitian input.
 
 Every document, however malformed or extreme, must end in a documented
 exit code (0/1/2/3) with no exception escaping; an input error (exit 2)
@@ -10,6 +11,7 @@ import io
 import json
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -66,6 +68,27 @@ def pair_docs(draw, defect):
     return draw(JSON) if defect == "document" else doc
 
 
+@st.composite
+def hermitian_docs(draw, n):
+    """M + M* for M with entries at one scale, as matrix JSON."""
+    scale = draw(SCALES)
+    parts = draw(st.lists(st.tuples(PARTS, PARTS), min_size=n * n, max_size=n * n))
+    M = np.array([complex(re, im) * scale for re, im in parts]).reshape(n, n)
+    H = M + M.conj().T
+    return {"rows": n, "cols": n, "data": [[z.real, z.imag] for z in H.ravel().tolist()]}
+
+
+def _documented_exit(argv):
+    """Run the CLI and check it ends in 0/1/2/3, with one stderr line on exit 2."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would be one more stderr line in a real process
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2, 3)
+    assert len(lines) == 1 if code == 2 else len(lines) <= 1, lines
+
+
 def _check_document(tmp_path, doc):
     loads = [(OperatorPair.from_json, doc)]
     if isinstance(doc, dict):
@@ -77,13 +100,7 @@ def _check_document(tmp_path, doc):
             pass
     path = tmp_path / "pair.json"
     path.write_text(json.dumps(doc))  # non-finite floats become NaN / Infinity tokens
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), warnings.catch_warnings():
-        warnings.simplefilter("error")  # a warning would be one more stderr line in a real process
-        code = main(["analyze", str(path)])
-    lines = err.getvalue().splitlines()
-    assert code in (0, 1, 2, 3)
-    assert len(lines) == 1 if code == 2 else len(lines) <= 1, lines
+    _documented_exit(["analyze", str(path)])
 
 
 SETTINGS = settings(
@@ -97,6 +114,19 @@ SETTINGS = settings(
 @given(data=st.data())
 def test_well_formed_pairs_at_extreme_scales_end_in_a_documented_exit(tmp_path, data):
     _check_document(tmp_path, data.draw(pair_docs("none")))
+
+
+@settings(SETTINGS, max_examples=50)
+@given(data=st.data())
+def test_hermitian_pairs_at_extreme_scales_end_in_a_documented_exit(tmp_path, data):
+    n = data.draw(st.integers(1, 3))
+    doc = {"A": data.draw(hermitian_docs(n)), "B": data.draw(hermitian_docs(n))}
+    pair, matrix = tmp_path / "pair.json", tmp_path / "A.json"
+    pair.write_text(json.dumps(doc))
+    matrix.write_text(json.dumps(doc["A"]))
+    _documented_exit(["intertwine", str(pair)])
+    lam = data.draw(st.sampled_from(["1", "-1", "0,1", "2", "1e-300", "1e300"]))
+    _documented_exit(["commutant", str(matrix), f"--lambda={lam}"])
 
 
 @pytest.mark.parametrize("defect", DEFECTS)

@@ -1,10 +1,12 @@
 """Unitary-intertwiner construction and the norm-condition equivalence."""
 
+import math
+
 import numpy as np
 import pytest
 
 import factorcomm as fc
-from factorcomm.errors import ConditionFailed, NotHermitian
+from factorcomm.errors import ConditionFailed, FactorCommError, NotHermitian
 from factorcomm.sampling import random_hermitian, rng_for
 from factorcomm.suite import _structured_commuting_pair, _structured_pauli_tensor_pair
 
@@ -153,3 +155,68 @@ def test_verify_intertwiner_accepts_alternative_kernel_action():
 def test_intertwiner_json_fields():
     data = fc.construct_intertwiner(_pauli_example_pair()).to_json()
     assert set(data) == {"U", "V", "P", "Q", "residual_intertwine", "residual_unitary"}
+
+
+def test_construct_intertwiner_with_zero_products_divides_by_nothing():
+    """diag(1, 0) and diag(0, 1): AB = BA = 0, so every cut reads 0 <= 0 and
+    U is the identity on the kernel, which is the whole space."""
+    pair = fc.OperatorPair(A=np.diag([1.0, 0.0]), B=np.diag([0.0, 1.0]))
+    with np.errstate(all="raise"):
+        result = fc.construct_intertwiner(pair)
+        assert fc.verify_intertwiner(pair, result.U) and fc.check_norm_condition(pair)
+        report = fc.gudder_nagy_check(pair)
+    assert np.array_equal(result.U, np.eye(2)) and result.residual_intertwine == 0.0
+    assert report.lhs_holds and report.rhs_holds and report.lhs_magnitude == 0.0
+
+
+def _answer(check, *args):
+    """What a check says: its result, or the class of the error it raises."""
+    try:
+        return check(*args)
+    except FactorCommError as exc:
+        return type(exc)
+
+
+# Powers of two near 1e-150, 1e-12, 1e-5, 1e-3, 1, 1e5 and 1e150, so the
+# scaled pair is exact and its intertwiner can be compared bit for bit.
+SCALES = [math.ldexp(1.0, round(math.log2(x))) for x in (1e-150, 1e-12, 1e-5, 1e-3, 1.0, 1e5, 1e150)]
+SCALE_IDS = [f"2^{math.frexp(x)[1] - 1}" for x in SCALES]
+
+
+def _gudder_nagy_sides(pair):
+    report = fc.gudder_nagy_check(pair)
+    return report.lhs_holds, report.rhs_holds
+
+
+@pytest.mark.parametrize("beta", SCALES, ids=SCALE_IDS)
+@pytest.mark.parametrize("alpha", SCALES, ids=SCALE_IDS)
+def test_pair_checks_keep_their_answer_when_the_factors_are_scaled(alpha, beta):
+    """Every check runs on the factors scaled by powers of two, against a
+    relative cut with no max(1, .) floor, so (alpha A, beta B) gets the
+    answer of (A, B).  With the floor, a pair with no intertwiner passed the
+    norm condition once its products were small, and a wrong U passed."""
+    rng = rng_for(5)
+    no_intertwiner = (random_hermitian(rng, 3), random_hermitian(rng, 3))
+    diag12 = np.diag([1.0, 2.0]).astype(complex)
+    pairs = [no_intertwiner, (SX, (SX + SY) / np.sqrt(2.0)), (SX, SY), (diag12, SX), (diag12, np.diag([3.0, -1.0]))]
+    for A, B in pairs:
+        base, scaled = fc.OperatorPair(A=A, B=B), fc.OperatorPair(A=alpha * A, B=beta * B)
+        for check in (fc.check_norm_condition, _gudder_nagy_sides, fc.measurement_map_check):
+            assert _answer(check, scaled) == _answer(check, base)
+        built, rebuilt = _answer(fc.construct_intertwiner, base), _answer(fc.construct_intertwiner, scaled)
+        candidates = [np.eye(len(A)), np.diag([1.0, -1.0, 1.0][: len(A)])]
+        if isinstance(built, fc.UnitaryIntertwiner):
+            assert rebuilt.U.tobytes() == built.U.tobytes()
+            candidates.append(built.U)
+        else:
+            assert rebuilt is built is ConditionFailed
+        for U in candidates:
+            assert fc.verify_intertwiner(scaled, U) == fc.verify_intertwiner(base, U)
+    for M in (diag12, np.diag([1.0, -1.0]), np.array([[1.0, 1.0], [0.0, 2.0]]), no_intertwiner[0], SX + SY):
+        for lam in (1.0, -1.0, 5.0, 1j):
+            base = _answer(lambda: len(fc.solve_lambda_commutant(M, lam)))
+            assert _answer(lambda: len(fc.solve_lambda_commutant(alpha * M, lam))) == base
+    nearly_hermitian = no_intertwiner[0] + 1e-7 * np.triu(np.ones((3, 3)), 1)
+    for M in (np.array([[1.0, 2.0], [0.0, 3.0]]), no_intertwiner[0], nearly_hermitian, SX):
+        for scaled in (alpha * M, beta * M):
+            assert fc.linalg.is_hermitian(scaled) == fc.classify_structure(scaled).hermitian

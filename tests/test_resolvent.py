@@ -1,12 +1,12 @@
 """Resolvent evaluation, spectral projections and the quadrature limit."""
 
-import importlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import factorcomm as fc
+import factorcomm.resolvent as resolvent_mod
 from factorcomm.errors import (
     EndpointOnSpectrum,
     InvalidParameter,
@@ -15,9 +15,6 @@ from factorcomm.errors import (
 )
 from factorcomm.resolvent import resolvent as resolvent_at
 from factorcomm.sampling import random_hermitian, random_psd, random_unitary, rng_for
-
-# the package re-exports the function ``resolvent`` under the module's name
-resolvent_mod = importlib.import_module("factorcomm.resolvent")
 
 DIAG123 = np.diag([1.0, 2.0, 3.0]).astype(complex)
 
