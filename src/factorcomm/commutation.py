@@ -514,7 +514,9 @@ def measurement_map_check(pair: OperatorPair, tol: float = DEFAULT_TOL) -> bool:
     They agree exactly when AB and BA are linearly dependent, which
     ``detect_factor`` decides without regard to scale: a factor fits
     (UNIQUE), both products vanish (ANY), or exactly one does (NONE with
-    no fitted factor).
+    no fitted factor).  So ``tol`` is that of ``detect_factor``: the maps
+    count as agreeing when the fitted factor leaves a relative residual of
+    at most 10 tol, not when their gap on some X is at most tol.
     """
     factor = detect_factor(pair, tol)
     return factor.status != NONE or factor.lambda_hat is None

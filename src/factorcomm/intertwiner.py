@@ -47,28 +47,23 @@ class GudderNagyReport(_JsonReport):
     rhs_magnitude_ba: float
 
 
-def _scaled_products(pair: OperatorPair, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(A, B, AB, BA) for A 2**-a and B 2**-b from ``_entry_scaled``, both
-    checked Hermitian as ``is_hermitian`` checks them.  Each check below
-    takes the ``_gap`` of two products of these, so no verdict depends on
-    the scale of A or B."""
+def _scaled_pair(pair: OperatorPair, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float, float]:
+    """(A, B, AB, BA, ||A||_F, ||B||_F) for A 2**-a and B 2**-b from
+    ``_entry_scaled``, both checked Hermitian as ``is_hermitian`` checks
+    them.  A gap between products of degree j in A and k in B is judged
+    against tol ||A||_F^j ||B||_F^k, as ``detect_factor`` judges a zero
+    product, so a product that is zero up to rounding reads as zero."""
     (A, _), (B, _) = _entry_scaled(pair.A), _entry_scaled(pair.B)
     for name, M in (("A", A), ("B", B)):
         if not _hermitian(M, tol):
             raise NotHermitian(f"{name} is not Hermitian within tolerance")
-    return A, B, A @ B, B @ A
+    return A, B, A @ B, B @ A, frob(A), frob(B)
 
 
-def _gap(X: np.ndarray, Y: np.ndarray) -> tuple[float, float]:
-    """(||X - Y||_F, ||X||_F): X = Y within tol when the first is at most tol
-    times the second, with no floor and no division."""
-    return frob(X - Y), frob(X)
-
-
-def _relative(x: float, scale: float) -> float:
-    """x / scale for a report: 0 for x = 0 and inf for x > 0 = scale, so it
-    is at most tol where x <= tol * scale."""
-    return x / scale if scale else np.inf if x else 0.0
+def _gap(X: np.ndarray, Y: np.ndarray, scale: float) -> float:
+    """||X - Y||_F / scale; 0 for scale = 0, where a factor is 0 and so are
+    X and Y."""
+    return frob(X - Y) / scale if scale else 0.0
 
 
 def check_norm_condition(pair: OperatorPair, tol: float = DEFAULT_TOL) -> bool:
@@ -79,19 +74,21 @@ def check_norm_condition(pair: OperatorPair, tol: float = DEFAULT_TOL) -> bool:
     raises, since that would indicate a numerics bug rather than a
     property of the input.  The guard bands are wide because the matrix
     square root halves the number of accurate digits near the boundary.
-    AB^2A and BA^2B are taken as (AB)(BA) and (BA)(AB).
     """
-    _, _, AB, BA = _scaled_products(pair, tol)
-    diff, size = _gap(AB @ BA, BA @ AB)
-    ok = diff <= tol * size
+    _, _, AB, BA, a, b = _scaled_pair(pair, tol)
+    mag = _gap(AB @ BA, BA @ AB, (a * b) ** 2)
+    ok = mag <= tol
 
-    gap, gap_scale = _gap(polar(AB, tol).absC, polar(BA, tol).absC)
+    polar_gap = _gap(polar(AB, tol).absC, polar(BA, tol).absC, a * b)
     sqrt_tol = float(np.sqrt(max(tol, 1e-15)))
-    mag, polar_gap = _relative(diff, size), _relative(gap, gap_scale)
-    if ok and gap > 10.0 * sqrt_tol * gap_scale:
-        raise VerificationFailed(f"AB^2A = BA^2B holds ({mag:.3e}) but |AB| differs from |BA| ({polar_gap:.3e})")
-    if not ok and diff > sqrt_tol * size and gap <= tol * gap_scale:
-        raise VerificationFailed(f"AB^2A != BA^2B ({mag:.3e}) but |AB| matches |BA| ({polar_gap:.3e})")
+    if ok and polar_gap > 10.0 * sqrt_tol:
+        raise VerificationFailed(
+            f"AB^2A = BA^2B holds ({mag:.3e}) but |AB| differs from |BA| ({polar_gap:.3e})"
+        )
+    if not ok and mag > sqrt_tol and polar_gap <= tol:
+        raise VerificationFailed(
+            f"AB^2A != BA^2B ({mag:.3e}) but |AB| matches |BA| ({polar_gap:.3e})"
+        )
     return ok
 
 
@@ -102,13 +99,20 @@ def gudder_nagy_check(pair: OperatorPair, tol: float = DEFAULT_TOL) -> GudderNag
     asserts exactly that and must hold for every valid input.  AB^2 and
     B^2A are taken as (AB)B and B(BA), BA^2 and A^2B as (BA)A and A(AB).
     """
-    A, B, AB, BA = _scaled_products(pair, tol)
-    gaps = _gap(AB @ BA, BA @ AB), _gap(AB @ B, B @ BA), _gap(BA @ A, A @ AB)
-    lhs_holds, holds_ab, holds_ba = (bool(x <= tol * scale) for x, scale in gaps)
-    rhs_holds = holds_ab and holds_ba
-    lhs_mag, mag_ab, mag_ba = (_relative(x, scale) for x, scale in gaps)
-    return GudderNagyReport(lhs_holds=lhs_holds, rhs_holds=rhs_holds, consistent=lhs_holds == rhs_holds,
-                            lhs_magnitude=lhs_mag, rhs_magnitude_ab=mag_ab, rhs_magnitude_ba=mag_ba)
+    A, B, AB, BA, a, b = _scaled_pair(pair, tol)
+    lhs_mag = _gap(AB @ BA, BA @ AB, (a * b) ** 2)
+    mag_ab = _gap(AB @ B, B @ BA, a * b * b)
+    mag_ba = _gap(BA @ A, A @ AB, a * a * b)
+    lhs_holds = bool(lhs_mag <= tol)
+    rhs_holds = bool(mag_ab <= tol and mag_ba <= tol)
+    return GudderNagyReport(
+        lhs_holds=lhs_holds,
+        rhs_holds=rhs_holds,
+        consistent=lhs_holds == rhs_holds,
+        lhs_magnitude=lhs_mag,
+        rhs_magnitude_ab=mag_ab,
+        rhs_magnitude_ba=mag_ba,
+    )
 
 
 def construct_intertwiner(pair: OperatorPair, tol: float = DEFAULT_TOL) -> UnitaryIntertwiner:
@@ -120,36 +124,41 @@ def construct_intertwiner(pair: OperatorPair, tol: float = DEFAULT_TOL) -> Unita
     raises VerificationFailed because the construction is guaranteed to
     succeed when the precondition holds (a failure signals a rank-cutoff
     misclassification, not a property of the input).  V, P and Q do not
-    depend on the scale of AB, so they come from the scaled product.
+    depend on the scale of AB, so they come from the scaled product;
+    ``residual_intertwine`` is ||AB - U BA||_F / (||A||_F ||B||_F).
     """
-    _, _, AB, BA = _scaled_products(pair, tol)
-    diff, size = _gap(AB @ BA, BA @ AB)
-    if diff > tol * size:
-        raise ConditionFailed(f"AB^2A != BA^2B (relative magnitude {_relative(diff, size):.3e})")
+    _, _, AB, BA, a, b = _scaled_pair(pair, tol)
+    mag = _gap(AB @ BA, BA @ AB, (a * b) ** 2)
+    if mag > tol:
+        raise ConditionFailed(f"AB^2A != BA^2B (relative magnitude {mag:.3e})")
 
     parts = polar(AB, tol)
     U = parts.V @ parts.V + parts.Q
 
     residual_unitary = frob(U.conj().T @ U - np.eye(pair.dim))
-    gap, ab_norm = _gap(AB, U @ BA)
-    residual_intertwine = _relative(gap, ab_norm)
-    if residual_unitary > tol or gap > 10.0 * tol * ab_norm:
+    residual_intertwine = _gap(AB, U @ BA, a * b)
+    if residual_unitary > tol or residual_intertwine > 10.0 * tol:
         raise VerificationFailed(
             f"intertwiner residuals too large: unitary {residual_unitary:.3e}, "
             f"intertwine {residual_intertwine:.3e}"
         )
-    return UnitaryIntertwiner(U=U, V=parts.V, P=parts.P, Q=parts.Q,
-                              residual_intertwine=residual_intertwine, residual_unitary=residual_unitary)
+    return UnitaryIntertwiner(
+        U=U,
+        V=parts.V,
+        P=parts.P,
+        Q=parts.Q,
+        residual_intertwine=residual_intertwine,
+        residual_unitary=residual_unitary,
+    )
 
 
 def verify_intertwiner(pair: OperatorPair, U: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """True iff U is unitary and AB = U BA, both within tolerance, the
-    second relative to ||AB||_F on A and B scaled by ``_entry_scaled``."""
+    second relative to ||A||_F ||B||_F on A and B scaled by ``_entry_scaled``."""
     U = np.asarray(U, dtype=np.complex128)
     if U.shape != pair.A.shape:
         raise DimensionMismatch(f"U has shape {U.shape}, expected {pair.A.shape}")
     (A, _), (B, _) = _entry_scaled(pair.A), _entry_scaled(pair.B)
-    gap, ab_norm = _gap(A @ B, U @ (B @ A))
     unitary_ok = frob(U.conj().T @ U - np.eye(pair.dim)) <= tol
-    intertwine_ok = gap <= tol * ab_norm
+    intertwine_ok = _gap(A @ B, U @ (B @ A), frob(A) * frob(B)) <= tol
     return bool(unitary_ok and intertwine_ok)

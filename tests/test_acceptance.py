@@ -14,6 +14,7 @@ import numpy as np
 import factorcomm as fc
 from factorcomm.sampling import ginibre, random_hermitian, random_psd, rng_for
 from factorcomm.suite import (
+    _maps_agree,
     _structured_commuting_pair,
     _structured_pauli_tensor_pair,
 )
@@ -209,10 +210,12 @@ def test_c10_measurement_maps():
             if abs(abs(report.lambda_hat) - 1.0) > 1e-10:
                 continue
             assert fc.measurement_map_check(pair, tol=1e-9), pair.label
+            assert _maps_agree(pair, 5, seed=checked, tol=1e-9), pair.label
             checked += 1
         assert checked >= 5
         counterexample = fc.OperatorPair(A=np.diag([1.0, 2.0]).astype(complex), B=SX)
         assert not fc.measurement_map_check(counterexample, tol=1e-9)
+        assert not _maps_agree(counterexample, 5, seed=0, tol=1e-9)
 
 
 def test_c11_cli_determinism_and_round_trips(tmp_path):

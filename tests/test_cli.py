@@ -12,7 +12,7 @@ import pytest
 import factorcomm as fc
 from factorcomm.cli import main, parse_complex, parse_complex_list
 from factorcomm.errors import InvalidParameter
-from factorcomm.sampling import random_hermitian, rng_for
+from factorcomm.sampling import random_hermitian, random_unitary, rng_for
 
 
 def run_cli(args: list[str]) -> subprocess.CompletedProcess:
@@ -385,14 +385,27 @@ def test_analyze_out_of_range_clock_shift_exits_2_with_one_line(tmp_path, capsys
 
 @pytest.mark.parametrize("scale", [1e-150, 1e-12, 1e-5, 1e-3, 1.0, 1e5, 1e150])
 def test_intertwine_refuses_a_pair_without_intertwiner_at_every_scale(tmp_path, capsys, scale):
-    """The norm condition is judged relative to ||AB^2A||_F on the scaled
-    pair, so scaling does not turn the refusal into a U (or into exit 3)."""
+    """The norm condition is judged relative to ||A||_F^2 ||B||_F^2 on the
+    scaled pair, so scaling does not turn the refusal into a U (or into exit 3)."""
     rng = rng_for(5)
     A, B = random_hermitian(rng, 3), random_hermitian(rng, 3)
     assert main(["intertwine", _pair_file(tmp_path, scale * A, scale * B)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("condition failed: AB^2A != BA^2B")
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-12, 1e-5, 1e-3, 1.0, 1e5, 1e150])
+def test_intertwine_accepts_a_product_that_vanishes_up_to_rounding(tmp_path, capsys, scale):
+    """A = W diag(1, 1, 0, 0) W*, B = W diag(0, 0, 1, 2) W*: AB is rounding,
+    which the norm condition reads as zero against ||A||_F^2 ||B||_F^2."""
+    W = random_unitary(rng_for(3), 4)
+    A = W @ np.diag([1.0, 1.0, 0.0, 0.0]) @ W.conj().T
+    B = W @ np.diag([0.0, 0.0, 1.0, 2.0]) @ W.conj().T
+    assert main(["intertwine", _pair_file(tmp_path, scale * A, scale * B)]) == 0
+    captured = capsys.readouterr()
+    U = fc.matrix_from_json(json.loads(captured.out)["U"])
+    assert captured.err == "" and fc.verify_intertwiner(fc.OperatorPair(A=A, B=B), U)
 
 
 def test_analyze_entries_near_double_max_exit_2_with_one_line(tmp_path, capsys):

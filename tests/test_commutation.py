@@ -605,6 +605,10 @@ def test_measurement_map_check_unimodular_builtins():
         if abs(abs(report.lambda_hat) - 1.0) > 1e-10:
             continue
         assert fc.measurement_map_check(pair), pair.label
+        AB, BA = pair.A @ pair.B, pair.B @ pair.A
+        for X in (ginibre(rng_for(7, t), pair.dim) for t in range(3)):
+            lhs = AB @ X @ BA
+            assert np.linalg.norm(lhs - BA @ X @ AB) <= 1e-9 * max(1.0, np.linalg.norm(lhs)), pair.label
 
 
 def test_nonunimodular_unique_pairs_have_nilpotent_product():

@@ -7,7 +7,7 @@ import pytest
 
 import factorcomm as fc
 from factorcomm.errors import ConditionFailed, FactorCommError, NotHermitian
-from factorcomm.sampling import random_hermitian, rng_for
+from factorcomm.sampling import random_hermitian, random_unitary, rng_for
 from factorcomm.suite import _structured_commuting_pair, _structured_pauli_tensor_pair
 
 SX = fc.PAULI_X
@@ -157,9 +157,9 @@ def test_intertwiner_json_fields():
     assert set(data) == {"U", "V", "P", "Q", "residual_intertwine", "residual_unitary"}
 
 
-def test_construct_intertwiner_with_zero_products_divides_by_nothing():
-    """diag(1, 0) and diag(0, 1): AB = BA = 0, so every cut reads 0 <= 0 and
-    U is the identity on the kernel, which is the whole space."""
+def test_construct_intertwiner_with_zero_products_raises_no_float_error():
+    """diag(1, 0) and diag(0, 1): AB = BA = 0, so every gap is 0 against the
+    factors' norms and U is the identity on the kernel, the whole space."""
     pair = fc.OperatorPair(A=np.diag([1.0, 0.0]), B=np.diag([0.0, 1.0]))
     with np.errstate(all="raise"):
         result = fc.construct_intertwiner(pair)
@@ -192,7 +192,7 @@ def _gudder_nagy_sides(pair):
 @pytest.mark.parametrize("alpha", SCALES, ids=SCALE_IDS)
 def test_pair_checks_keep_their_answer_when_the_factors_are_scaled(alpha, beta):
     """Every check runs on the factors scaled by powers of two, against a
-    relative cut with no max(1, .) floor, so (alpha A, beta B) gets the
+    cut relative to their norms with no max(1, .) floor, so (alpha A, beta B) gets the
     answer of (A, B).  With the floor, a pair with no intertwiner passed the
     norm condition once its products were small, and a wrong U passed."""
     rng = rng_for(5)
@@ -220,3 +220,31 @@ def test_pair_checks_keep_their_answer_when_the_factors_are_scaled(alpha, beta):
     for M in (np.array([[1.0, 2.0], [0.0, 3.0]]), no_intertwiner[0], nearly_hermitian, SX):
         for scaled in (alpha * M, beta * M):
             assert fc.linalg.is_hermitian(scaled) == fc.classify_structure(scaled).hermitian
+
+
+def complementary_projection_pairs():
+    """Commuting Hermitian pairs whose products are zero in exact arithmetic
+    but carry rounding in floating point: spectral projections of one
+    unitarily conjugated diagonal, and (P, I - P)."""
+    W = random_unitary(rng_for(3), 4)
+    P = W @ np.diag([1.0, 1.0, 0.0, 0.0]) @ W.conj().T
+    P = (P + P.conj().T) / 2.0
+    B = W @ np.diag([0.0, 0.0, 1.0, 2.0]) @ W.conj().T
+    return [(P, (B + B.conj().T) / 2.0), (P, np.eye(4) - P)]
+
+
+@pytest.mark.parametrize("alpha", SCALES, ids=SCALE_IDS)
+def test_products_that_vanish_up_to_rounding_pass_every_check(alpha):
+    """AB is rounding of size ~1e-16, so (AB)(BA) and (BA)(AB) differ by about
+    100% of their own norm; judged against the factors' norms, as
+    ``classify_pair`` judges them, the pair commutes and U = I intertwines."""
+    for A, B in complementary_projection_pairs():
+        assert np.any(A @ B != 0)
+        for pair in (fc.OperatorPair(A=alpha * A, B=alpha * B), fc.OperatorPair(A=alpha * A, B=B)):
+            assert fc.classify_pair(pair).factor.status == fc.ANY
+            assert fc.check_norm_condition(pair) and fc.measurement_map_check(pair)
+            report = fc.gudder_nagy_check(pair)
+            assert report.lhs_holds and report.rhs_holds and report.consistent
+            result = fc.construct_intertwiner(pair)
+            assert result.residual_intertwine <= 1e-15
+            assert fc.verify_intertwiner(pair, result.U) and fc.verify_intertwiner(pair, np.eye(4))
