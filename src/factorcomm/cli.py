@@ -84,24 +84,13 @@ def _load_matrix(path: str):
 
 def _cmd_generate(args) -> int:
     params: dict = {}
-    if args.n is not None:
-        params["n"] = args.n
-    if args.lam is not None:
-        params["lambda"] = parse_complex(args.lam)
-    if args.x is not None:
-        params["x"] = parse_complex(args.x)
-    if args.y is not None:
-        params["y"] = parse_complex(args.y)
-    if args.z is not None:
-        params["z"] = parse_complex(args.z)
-    if args.betas is not None:
-        params["betas"] = parse_complex_list(args.betas)
-    if args.pivot is not None:
-        params["pivot"] = args.pivot
-    if args.q is not None:
-        params["q"] = parse_complex(args.q)
-    if args.eps is not None:
-        params["eps"] = args.eps
+    for key, attr, parse in (
+        ("n", "n", int), ("lambda", "lam", parse_complex), ("x", "x", parse_complex), ("y", "y", parse_complex),
+        ("z", "z", parse_complex), ("betas", "betas", parse_complex_list), ("pivot", "pivot", int),
+        ("q", "q", parse_complex), ("eps", "eps", int),
+    ):
+        if getattr(args, attr) is not None:
+            params[key] = parse(getattr(args, attr))
     pair = build_realization(RealizationSpec(kind=args.kind, params=params))
     text = json.dumps(pair.to_json(), indent=2)
     if args.out:

@@ -2,9 +2,9 @@
 
 Given an operator pair, the detector fits the scalar factor by Frobenius
 least squares; the classifier assembles every structural constraint on the
-factor (reality, sign, modulus, roots of unity, spectrum rotation,
-quasi-nilpotency of the product) and verifies the fitted factor against
-each of them.
+factor (reality, sign, modulus, roots of unity, spectrum rotation from
+power sums, quasi-nilpotency of the product) and verifies the fitted
+factor against each of them.  The eigenvalue matchers are oracles only.
 """
 
 import math
@@ -12,16 +12,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DimensionMismatch, InvalidParameter, NotNormal
+from .errors import DimensionMismatch, InvalidParameter, NotNormal
 from .linalg import (
     DEFAULT_TOL,
     StructureFlags,
     _JsonReport,
     _entry_scaled,
-    _flags_and_spectrum,
+    _flags_and_witnesses,
+    _invertible,
+    _lapack,
+    _power_sum_witnesses,
     _scaled,
     _scaled_traces,
-    _spectrum,
     as_matrix,
     complex_from_json,
     eigenvalues,
@@ -138,10 +140,6 @@ class ClassificationReport(_JsonReport):
     flags_A: StructureFlags
     flags_B: StructureFlags
     constraints: list[LambdaConstraint]
-    swap_check: SpectrumMatchReport | None
-    product_rotation: SpectrumMatchReport | None
-    a_spectrum_rotation: SpectrumMatchReport | None
-    b_spectrum_rotation: SpectrumMatchReport | None
     product_quasinilpotent: bool
     consistent: bool
     violations: list[str]
@@ -329,7 +327,7 @@ def trace_det_constraints(
     double range; such a value is reported as '(mantissa)e+exponent'.
     """
     s_A, s_B = singular_values(pair.A), singular_values(pair.B)
-    invertible = s_A[-1] > tol * s_A[0] and s_B[-1] > tol * s_B[0]  # as in classify_structure
+    invertible = _invertible(s_A, tol) and _invertible(s_B, tol)
     return _trace_det_constraints(_scaled(pair.A, s_A), _scaled(pair.B, s_B), kmax, invertible)
 
 
@@ -359,15 +357,24 @@ def _trace_det_constraints(
     if witness:
         out.append(LambdaConstraint(kind="one", constraint="lambda = 1", source=f"nonzero trace {witness}"))
     if invertible:
-        try:
-            sign, logdet = np.linalg.slogdet(A @ B)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailure(str(exc)) from exc
+        sign, logdet = _lapack(np.linalg.slogdet, A @ B)
         binary = round(logdet / math.log(2.0))  # keeps exp() of the rest in range
         text = _power_text(complex(sign) * math.exp(logdet - binary * math.log(2.0)), binary + n * (a + b))
         source = f"nonzero det(AB) = {text}"
         out.append(LambdaConstraint(kind="nth-root", constraint=f"lambda^{n} = 1", source=source, order=n))
     return out
+
+
+def _rotation_constraint(name: str, premise: str, witnesses: list, norm2: float, exponent: int) -> LambdaConstraint:
+    """lambda^g = 1 for the gcd g of the witnesses (k, tr[(M / norm2)^k]) of
+    M, the matrix ``name`` times 2**-exponent, each printed as tr[name^k]."""
+    traces = []
+    for k, trace in witnesses:  # tr[name^k] = trace norm2^k 2**(k exponent)
+        carry, fraction = divmod(k * math.log2(norm2), 1.0)
+        traces.append(f"tr[{name}^{k}] = {_power_text(trace * 2.0**fraction, int(carry) + k * exponent)}")
+    g = math.gcd(*(k for k, _ in witnesses))
+    text = "lambda = 1" if g == 1 else f"lambda^{g} = 1"
+    return LambdaConstraint(kind="nth-root", constraint=text, source=f"{premise}: nonzero {', '.join(traces)}", order=g)
 
 
 def _constraint_discrepancy(c: LambdaConstraint, lam: complex) -> float:
@@ -393,27 +400,33 @@ def classify_pair(
     a self-adjoint factor, {1,-1} for a self-adjoint pair, 1 with a
     positive factor, unit modulus for invertible/unitary factors or a
     non-quasi-nilpotent product, roots of unity from traces and the
-    determinant), then, when a unique factor was detected, verifies the
-    fitted value and the spectral-rotation identities against each.
-    Constraint checks are advisory over floating point: every violation
-    records the magnitude of the discrepancy.
+    determinant, spectrum rotation), then, when a unique factor was
+    detected, verifies the fitted value against each.  Constraint checks
+    are advisory over floating point: every violation records the
+    magnitude of the discrepancy.
+
+    AB = lambda BA gives sigma(AB) = lambda sigma(BA) = lambda sigma(AB),
+    and sigma(A) = lambda sigma(A) when B is invertible, sigma(B) when A
+    is: one power-sum sweep and one constraint lambda^g = 1 each, listing
+    the witness traces (``_power_sum_witnesses``).  A fitted factor off by
+    delta reads |lambda^g - 1| ~ g delta, as the det rule does at order n.
 
     Every check runs on A 2**-a and B 2**-b, scaled by ``_scaled`` with
     relative cuts, so no verdict depends on the scale of either factor;
-    norms, distances and printed values are converted back exactly, a
-    product norm beyond the double range to inf.
-    A, B and AB (unless A and B are invertible) are judged nilpotent from
-    power sums; a nilpotent product's spectrum {0} also serves for BA.
+    norms and printed values are converted back exactly, a product norm
+    beyond the double range to inf.
     """
     s_A, s_B = singular_values(pair.A), singular_values(pair.B)
     scaled_A, scaled_B = _scaled(pair.A, s_A), _scaled(pair.B, s_B)
     (A, a, norm_A), (B, b, norm_B) = scaled_A, scaled_B
     AB, BA = A @ B, B @ A
     factor = _fit_factor(A, B, AB, BA, a + b, tol)
-    flags_A, eig_A = _flags_and_spectrum(scaled_A, s_A, tol)
-    flags_B, eig_B = _flags_and_spectrum(scaled_B, s_B, tol)
-    invertible = flags_A.invertible and flags_B.invertible
-    product_quasinilpotent, eig_AB = _spectrum(AB, norm_A * norm_B, not invertible)
+    invertible_A, invertible_B = _invertible(s_A, tol), _invertible(s_B, tol)
+    flags_A, witnesses_A = _flags_and_witnesses(scaled_A, s_A, tol, rotation=invertible_B)
+    flags_B, witnesses_B = _flags_and_witnesses(scaled_B, s_B, tol, rotation=invertible_A)
+    invertible = invertible_A and invertible_B
+    witnesses_AB = list(_power_sum_witnesses(AB, norm_A * norm_B, frob(A) * frob(B)))
+    product_quasinilpotent = not invertible and not witnesses_AB
     kmax = pair.dim if kmax is None else kmax
 
     constraints: list[LambdaConstraint] = []
@@ -435,11 +448,13 @@ def classify_pair(
     if not product_quasinilpotent:
         unimodular.append("sigma(AB) != {0}")
     constraints.extend(LambdaConstraint(kind="unimodular", constraint="|lambda| = 1", source=s) for s in unimodular)
+    rotations = [("(AB)", "sigma(AB) = lambda sigma(AB)", witnesses_AB, norm_A * norm_B, a + b),
+                 ("A", "B invertible, so sigma(A) = lambda sigma(A)", witnesses_A, norm_A, a),
+                 ("B", "A invertible, so sigma(B) = lambda sigma(B)", witnesses_B, norm_B, b)]
+    constraints.extend(_rotation_constraint(*r) for r in rotations if r[2])  # r[2]: the witnesses
     constraints.extend(_trace_det_constraints(scaled_A, scaled_B, kmax, invertible))
 
-    matches = dict.fromkeys(("swap_check", "product_rotation", "a_spectrum_rotation", "b_spectrum_rotation"))
     violations: list[str] = []
-
     if factor.status == UNIQUE:
         lam = factor.lambda_hat
         for c in constraints:
@@ -447,29 +462,12 @@ def classify_pair(
             c.satisfied = bool(c.discrepancy <= 10.0 * tol)
             if not c.satisfied:
                 violations.append(f"{c.constraint} violated by {c.discrepancy:.3e} ({c.source})")
-        checks = [
-            ("swap_check", eig_AB, eig_AB if product_quasinilpotent else eigenvalues(BA), a + b,
-             "sigma(AB) != sigma(BA): max assignment distance"),
-            ("product_rotation", eig_AB, lam * eig_AB, a + b, "sigma(AB) not invariant under lambda: distance"),
-        ]
-        if flags_A.invertible:
-            checks.append(("b_spectrum_rotation", eig_B, lam * eig_B, b,
-                           "sigma(B) not invariant under lambda (A invertible): distance"))
-        if flags_B.invertible:
-            checks.append(("a_spectrum_rotation", eig_A, lam * eig_A, a,
-                           "sigma(A) not invariant under lambda (B invertible): distance"))
-        for name, left, right, exponent, message in checks:
-            match = matches[name] = _assignment_match(left, right, tol)
-            match.max_pair_distance = math.ldexp(match.max_pair_distance, exponent)
-            if not match.matched:
-                violations.append(f"{message} {match.max_pair_distance:.3e}")
 
     return ClassificationReport(
         factor=factor,
         flags_A=flags_A,
         flags_B=flags_B,
         constraints=constraints,
-        **matches,
         product_quasinilpotent=product_quasinilpotent,
         consistent=not violations,
         violations=violations,
@@ -497,7 +495,7 @@ def solve_lambda_commutant(
     if frob(A @ A.conj().T - A.conj().T @ A) > tol * scale * scale:
         raise NotNormal("matrix is not normal within tolerance")
     import scipy.linalg
-    T, Z = scipy.linalg.schur(A, output="complex")
+    T, Z = _lapack(scipy.linalg.schur, A, output="complex")
     diag = np.diagonal(T)
     basis: list[np.ndarray] = []
     n = A.shape[0]

@@ -5,19 +5,20 @@ Matrices are treated as immutable values: every function returns fresh
 arrays and never writes to its inputs.  Checks on a matrix or a pair
 (structure flags, ``is_hermitian``, commutation, intertwiner) scale each
 factor by a power of two and call x negligible at ``x <= tol * scale``, so
-no verdict depends on the scale of the input.  Spectrum matching keeps
-``tol * max(1, largest modulus)`` on the scaled spectra, and the resolvent
-and realizations modules ``tol * max(1, scale)``: they compare against
-absolute points and targets.
+no verdict depends on the scale of the input.  The eigenvalue matchers
+of ``commutation`` keep ``tol * max(1, largest modulus)``, and the
+resolvent and realizations modules ``tol * max(1, scale)``: they compare
+against absolute points and targets.
 
-A singular matrix is nilpotent when no power sum tr[M^k], k = 1..n,
-clears its rounding bound, and then has the spectrum {0} by decision, with
-no eigenvalues computed.  m eigenvalues c w^j with c^m below about n eps
-read as nilpotent.  PSD and PD are read from the general eigenvalues.
-Power sums, like the traces tr[A B^k] of the trace rule, come from one
-baby-step giant-step sweep: about 2 sqrt(n) matrix products for n powers.
+sigma(M) = lambda sigma(M) exactly when (1 - lambda^k) tr[M^k] = 0 for
+k = 1..n (Newton's identities): each power sum that clears its rounding
+bound forces lambda^k = 1, and a singular M with none is nilpotent (m
+eigenvalues c w^j with c^m below about n eps read so).  Power sums, like
+the trace rule's tr[A B^k], come from one baby-step giant-step sweep of
+about 2 sqrt(n) products.  Only Hermitian matrices take eigenvalues (PSD, PD).
 """
 
+import itertools
 import math
 from dataclasses import dataclass, fields, is_dataclass
 
@@ -64,6 +65,14 @@ def matmul(M: np.ndarray, N: np.ndarray) -> np.ndarray:
     return M @ N
 
 
+def _lapack(solver, *args, **kwargs):
+    """solver(*args, **kwargs), its LAPACK failure raised as ConvergenceFailure."""
+    try:
+        return solver(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from exc
+
+
 def eigenvalues(M: np.ndarray) -> np.ndarray:
     """All eigenvalues with algebraic multiplicity, deterministically ordered.
 
@@ -72,10 +81,7 @@ def eigenvalues(M: np.ndarray) -> np.ndarray:
     byte-stable.
     """
     require_square(M)
-    try:
-        vals = np.linalg.eigvals(M)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ConvergenceFailure(str(exc)) from exc
+    vals = _lapack(np.linalg.eigvals, M)
     order = np.lexsort((vals.imag, vals.real))
     return vals[order]
 
@@ -103,8 +109,7 @@ def hermitian_eig(M: np.ndarray, tol: float = DEFAULT_TOL):
     require_square(M)
     if not is_hermitian(M, tol):
         raise NotHermitian("matrix is not Hermitian within tolerance")
-    w, U = np.linalg.eigh((M + M.conj().T) / 2.0)
-    return w, U
+    return _lapack(np.linalg.eigh, (M + M.conj().T) / 2.0)
 
 
 def svd(M: np.ndarray):
@@ -113,19 +118,13 @@ def svd(M: np.ndarray):
     ``s`` is descending and non-negative; ``W`` and ``X`` are unitary
     (square, full matrices).
     """
-    try:
-        W, s, Xh = np.linalg.svd(M, full_matrices=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ConvergenceFailure(str(exc)) from exc
+    W, s, Xh = _lapack(np.linalg.svd, M, full_matrices=True)
     return W, s, Xh.conj().T
 
 
 def singular_values(M: np.ndarray) -> np.ndarray:
     """Singular values of M, descending, without the singular vectors."""
-    try:
-        return np.linalg.svd(M, compute_uv=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ConvergenceFailure(str(exc)) from exc
+    return _lapack(np.linalg.svd, M, compute_uv=False)
 
 
 @dataclass
@@ -264,11 +263,16 @@ def classify_structure(M: np.ndarray, tol: float = DEFAULT_TOL) -> StructureFlag
 
     M is scaled by a power of two first, so no norm overflows.  Unitarity
     compares M*M against I through the singular values, invertibility is
-    smallest-singular > tol * largest; the rest is ``_flags_and_spectrum``.
+    smallest-singular > tol * largest; the rest is ``_flags_and_witnesses``.
     """
     require_square(M)
     s = singular_values(M)
-    return _flags_and_spectrum(_scaled(M, s), s, tol)[0]
+    return _flags_and_witnesses(_scaled(M, s), s, tol)[0]
+
+
+def _invertible(s: np.ndarray, tol: float) -> bool:
+    """Whether the smallest of the singular values ``s`` exceeds tol times the largest."""
+    return bool(s.size and s[-1] > tol * s[0])
 
 
 def _scaled(M: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, int, float]:
@@ -276,7 +280,7 @@ def _scaled(M: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, int, float]:
     s[0] of M in [1/4, 1), or e = 0 for M = 0.
 
     The scaling is exact, and eigvals is bitwise scale-equivariant under even
-    powers of two, so eigenvalues of the scaled factors and products scale back.
+    powers of two, so the eigenvalues of a scaled Hermitian factor scale back.
     """
     e = math.frexp(s[0])[1]
     e += e % 2
@@ -350,31 +354,39 @@ def _scaled_traces(X: np.ndarray, Y: np.ndarray, norm2_X: float, kmax: int):
             yield complex(trace), (j + 1) * unit * norm2_X ** (j - 1)
 
 
-def _spectrum(M: np.ndarray, norm2_bound: float, singular: bool) -> tuple[bool, np.ndarray]:
-    """(whether M is nilpotent, its eigenvalues), for ||M||_2 <= norm2_bound.
+def _power_sum_witnesses(M: np.ndarray, norm2_bound: float, factors_frob: float = 0.0):
+    """Yield (k, tr[(M / norm2_bound)^k]), for ||M||_2 <= norm2_bound, for each
+    k whose power sum clears its bound and is no multiple of the gcd g of
+    the k before it, up to g = 1; they force lambda^g = 1 as all witnesses do.
 
-    M is nilpotent exactly when every power sum tr[M^k], k = 1..n, is 0
-    (Newton's identities), so a singular M is decided nilpotent when none
-    clears its rounding bound, and its spectrum is {0} by decision.
-    """
-    n = M.shape[0]
-    if singular and not any(abs(p) > bound for p, bound in _scaled_traces(M, np.eye(n), norm2_bound, n)):
-        return True, np.zeros(n, dtype=np.complex128)
-    return False, eigenvalues(M)
+    M / norm2_bound has 2-norm at most 1, so nothing underflows at any n;
+    the division's rounding fits the bound's spare term, as k <= n.  The
+    rounding of M = F G, ||F||_F ||G||_F = factors_frob, moves tr[M^k] by
+    up to factors_frob / ||M||_F times its bound, which widens by that."""
+    if not norm2_bound:
+        return
+    X = M / norm2_bound
+    f, widen, g = frob(X), factors_frob / norm2_bound, 0
+    for k, (trace, bound) in enumerate(_scaled_traces(X, np.eye(M.shape[0]), 1.0, M.shape[0]), start=1):
+        if abs(trace) * f > bound * (f + widen) and (not g or k % g):
+            g = math.gcd(g, k)
+            yield k, trace
+            if g == 1:
+                return
 
 
-def _flags_and_spectrum(scaled: tuple, s: np.ndarray, tol: float) -> tuple[StructureFlags, np.ndarray]:
-    """``classify_structure`` and the eigenvalues of a square matrix as
-    ``_scaled`` returns it, whose singular values as given are ``s``.
-
-    Hermitian is judged relative to ||M||_F; PSD and PD from the real parts
-    of the eigenvalues, relative to the largest.
-    """
+def _flags_and_witnesses(scaled: tuple, s: np.ndarray, tol: float, rotation: bool = False):
+    """``classify_structure`` of a square matrix as ``_scaled`` returns it,
+    whose singular values as given are ``s``, and, for ``rotation``, its
+    ``_power_sum_witnesses`` (else []); a singular matrix is swept to its
+    first witness at least, for nilpotency.  Hermitian is judged relative to
+    ||M||_F; PSD and PD from the eigenvalues, relative to the largest."""
     M, _, norm2 = scaled
-    invertible = bool(s.size and s[-1] > tol * s[0])
-    nilpotent, eigs = _spectrum(M, norm2, not invertible)
+    invertible = _invertible(s, tol)
+    sweep = _power_sum_witnesses(M, norm2) if rotation or not invertible else iter(())
+    witnesses = list(sweep if rotation else itertools.islice(sweep, 1))
     hermitian = _hermitian(M, tol)
-    w = eigs.real
+    w = eigenvalues(M).real if hermitian else np.zeros(1)
     cut = tol * np.abs(w).max()
     # ||M*M - I||_F = ||s^2 - 1||_2, with no product that squares the entries
     unitary = bool(s[0] <= 2.0 and np.linalg.norm((s - 1.0) * (s + 1.0)) <= tol)
@@ -384,7 +396,7 @@ def _flags_and_spectrum(scaled: tuple, s: np.ndarray, tol: float) -> tuple[Struc
         positive_definite=hermitian and bool(w.min() > cut),
         unitary=unitary,
         invertible=invertible,
-        quasi_nilpotent=nilpotent,
+        quasi_nilpotent=not invertible and not witnesses,
         tolerance_used=tol,
     )
-    return flags, eigs
+    return flags, witnesses if rotation else []

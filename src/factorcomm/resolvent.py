@@ -23,6 +23,7 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     _JsonReport,
+    _lapack,
     as_matrix,
     eigenvalues,
     frob,
@@ -60,7 +61,7 @@ def resolvent_norm_check(A: np.ndarray, w: complex, tol: float = DEFAULT_TOL) ->
     if not is_hermitian(A, tol):
         raise NotHermitian("resolvent norm equality requires a Hermitian matrix")
     w = complex(w)
-    eigs = np.linalg.eigvalsh((A + A.conj().T) / 2.0)
+    eigs = _lapack(np.linalg.eigvalsh, (A + A.conj().T) / 2.0)
     dist = float(np.abs(eigs - w).min())
     if dist <= tol * max(1.0, frob(A)):
         raise SpectrumHit(f"{w:.6g} is within {dist:.3e} of the spectrum")
@@ -258,7 +259,7 @@ def stone_projection(A: np.ndarray, spec: StoneQuadratureSpec, tol: float = DEFA
 
     t, W = _quadrature_rules(spec)
     import scipy.linalg
-    T, Q = scipy.linalg.hessenberg((A + A.conj().T) / 2.0, calc_q=True)
+    T, Q = _lapack(scipy.linalg.hessenberg, (A + A.conj().T) / 2.0, calc_q=True)
     S = _resolvent_sums(T.diagonal().real, T.diagonal(-1), t + 1j * spec.epsilon, W)
     P = (S - S.conj().transpose(0, 2, 1)) / (2j * np.pi)
     proj = Q @ P[0] @ Q.conj().T
@@ -318,7 +319,7 @@ def transported_integrand_bound(
     a, b = float(interval[0]), float(interval[1])
     if not 0 < a < b:
         raise InvalidParameter(f"interval must lie in (0, inf), got [{a}, {b}]")
-    eigs = np.linalg.eigvalsh((A + A.conj().T) / 2.0)
+    eigs = _lapack(np.linalg.eigvalsh, (A + A.conj().T) / 2.0)
     if eigs.min() < -tol * max(1.0, frob(A)):
         raise InvalidParameter("matrix must be positive semidefinite")
 

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, JSON contracts."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 import factorcomm as fc
 from factorcomm.cli import main, parse_complex, parse_complex_list
-from factorcomm.errors import InvalidParameter
+from factorcomm.errors import ConvergenceFailure, InvalidParameter
 from factorcomm.sampling import random_hermitian, random_unitary, rng_for
 
 
@@ -351,6 +352,44 @@ def test_solve_lambda_commutant_looks_up_schur_at_call_time(monkeypatch):
     basis = fc.solve_lambda_commutant(np.diag([1.0, 2.0]).astype(complex), 2.0)
     assert len(calls) == 1
     assert len(basis) == 1
+
+
+DIAG_123 = np.diag([1.0, 2.0, 3.0]).astype(complex)
+# (module, solver, library call that reaches it, CLI command that reaches it or None)
+LAPACK_ROUTES = [
+    ("numpy.linalg", "eigh", lambda: fc.hermitian_eig(DIAG_123), ["stone", "m.json", "--a", "1.5", "--b", "2.5"]),
+    ("numpy.linalg", "eigvalsh", lambda: fc.resolvent_norm_check(DIAG_123, 2.5j), None),
+    ("numpy.linalg", "eigvalsh", lambda: fc.transported_integrand_bound(DIAG_123, -1.0, (0.5, 1.5), 1e-3), None),
+    ("scipy.linalg", "schur", lambda: fc.solve_lambda_commutant(DIAG_123, 2.0), ["commutant", "m.json", "--lambda", "2"]),
+    (
+        "scipy.linalg",
+        "hessenberg",
+        lambda: fc.stone_projection(DIAG_123, fc.StoneQuadratureSpec((1.5, 2.5), 1e-3, 100)),
+        ["stone", "m.json", "--a", "1.5", "--b", "2.5"],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "module, solver, call, argv",
+    LAPACK_ROUTES,
+    ids=["eigh", "eigvalsh-norm-check", "eigvalsh-transported-bound", "schur", "hessenberg"],
+)
+def test_lapack_failure_is_a_convergence_failure_and_exits_2(tmp_path, capsys, monkeypatch, module, solver, call, argv):
+    """A decomposition that does not converge raises LinAlgError; the library
+    raises ConvergenceFailure, and the command exits 2 with one line."""
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(importlib.import_module(module), solver, fail)
+    with pytest.raises(ConvergenceFailure):
+        call()
+    if argv is not None:
+        (tmp_path / "m.json").write_text(json.dumps(fc.matrix_to_json(DIAG_123)))
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: did not converge\n"
 
 
 def _pair_file(tmp_path, A, B):

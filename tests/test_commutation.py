@@ -361,6 +361,22 @@ def _lower_shift_jordan_pair(n: int) -> fc.OperatorPair:
     return fc.OperatorPair(A=np.where(i >= j, lam**j * a[i - j], 0.0), B=np.eye(n, k=-1), declared_lambda=lam)
 
 
+def _jordan_block(k: int) -> np.ndarray:
+    return np.eye(k) + np.eye(k, k=1)
+
+
+# Defective invertible pairs: the computed eigenvalues of a k x k Jordan
+# block move by about eps^(1/k) under a change of basis.
+DEFECTIVE_PAIRS = {
+    **{
+        f"jordan-block-{k}": fc.OperatorPair(A=J, B=J + J @ J / 2, declared_lambda=1.0)
+        for k, J in ((k, _jordan_block(k)) for k in (3, 4, 6))
+    },
+    "sz-jordan-block-3": fc.OperatorPair(
+        A=np.kron(SZ, _jordan_block(3)), B=np.kron(SX, np.eye(3)), declared_lambda=-1.0
+    ),
+}
+
 SYMMETRY_FAMILIES = {
     "clock-shift": fc.clock_shift_pair,
     "cyclic-shift-diag": lambda n: fc.cyclic_shift_diag_pair(n, np.exp(6j * np.pi / n)),
@@ -369,20 +385,24 @@ SYMMETRY_FAMILIES = {
     "jordan3": lambda n: fc.jordan_pair(3, 1.5, -0.5, 0.75, 0.5),
     "jordan": _lower_shift_jordan_pair,
     "uq-sl2": lambda n: fc.uq_sl2_pair(n - 1, 1.1),
+    **{name: lambda n, pair=pair: pair for name, pair in DEFECTIVE_PAIRS.items()},
 }
+FIXED_DIMENSION = {"jordan3": 3, **{name: pair.dim for name, pair in DEFECTIVE_PAIRS.items()}}
 
 
 @pytest.mark.parametrize(
     "family, n",
-    [(family, n) for family in sorted(SYMMETRY_FAMILIES) if family != "jordan3" for n in (4, 8, 16)] + [("jordan3", 3)],
+    [(family, n) for family in sorted(SYMMETRY_FAMILIES) if family not in FIXED_DIMENSION for n in (4, 8, 16)]
+    + sorted(FIXED_DIMENSION.items()),
 )
 def test_classify_pair_verdict_survives_scaling_and_unitary_similarity(family, n):
     """The factor is invariant under (alpha A, beta B) and (U A U*, U B U*),
     and becomes 1/lambda under the swap (B, A), so each image of a
     realization is UNIQUE, with the declared factor or its inverse, and
-    consistent: no rounding in the powers or the spectra may be read as a
-    violation.  Nilpotent factors and products included: after a change of
-    basis their computed eigenvalues scatter far above the rounding level."""
+    consistent: no rounding in the powers may be read as a violation.
+    Nilpotent factors and products, and defective invertible ones, included:
+    after a change of basis their computed eigenvalues scatter far above
+    the rounding level."""
     base = SYMMETRY_FAMILIES[family](n)
     lam = base.declared_lambda
     rng = rng_for(31, n)
@@ -399,6 +419,66 @@ def test_classify_pair_verdict_survives_scaling_and_unitary_similarity(family, n
         assert report.factor.status == fc.UNIQUE
         assert abs(report.factor.lambda_hat - want) <= 1e-9 * max(1.0, abs(want))
         assert report.consistent, report.violations
+
+
+@pytest.mark.parametrize("family", sorted(DEFECTIVE_PAIRS))
+def test_defective_pair_is_consistent_after_every_change_of_basis(family):
+    """Each conjugate by random_unitary(rng_for(s)) for 50 seeds s fits the
+    declared factor and is consistent.  Matching computed eigenvalues
+    reported sigma(AB) != sigma(BA), at 1e-6 to 1e-3, for every seed."""
+    base = DEFECTIVE_PAIRS[family]
+    for seed in range(50):
+        U = random_unitary(rng_for(seed), base.dim)
+        report = fc.classify_pair(fc.OperatorPair(A=U @ base.A @ U.conj().T, B=U @ base.B @ U.conj().T))
+        assert abs(report.factor.lambda_hat - base.declared_lambda) <= 1e-9, seed
+        assert report.consistent, (seed, report.violations)
+
+
+def _rotation_constraints(report) -> dict[str, fc.LambdaConstraint]:
+    """The spectrum-rotation constraints of a report, keyed by the matrix."""
+    names = {"sigma(AB)": "AB", "B invertible": "A", "A invertible, so": "B"}
+    return {m: c for c in report.constraints for prefix, m in names.items() if c.source.startswith(prefix)}
+
+
+def test_clock_shift_5_rotation_constraints_have_their_witness_at_k_5():
+    """The power sums of A, B and AB vanish below k = 5, so each rotation
+    forces lambda^5 = 1, which the fitted omega satisfies and i does not."""
+    report = fc.classify_pair(fc.clock_shift_pair(5))
+    rotations = _rotation_constraints(report)
+    assert sorted(rotations) == ["A", "AB", "B"]
+    for name, c in rotations.items():
+        assert (c.kind, c.constraint, c.order, c.satisfied) == ("nth-root", "lambda^5 = 1", 5, True)
+        witness, trace = c.source.split(": nonzero ")[1].split(" = ")
+        assert witness == f"tr[{'(AB)' if name == 'AB' else name}^5]" and abs(complex(trace) - 5) <= 1e-12
+        assert abs(1j**c.order - 1.0) > 10 * fc.DEFAULT_TOL
+
+
+def test_product_rotation_allows_for_the_rounding_of_forming_ab():
+    """AB = 3 E21 is nilpotent and lambda = 3, but the factor A carries an
+    entry of 1e6 that B annihilates: the computed product holds rounding of
+    about 1e-10 of its norm, and tr[AB] of that rounding cleared the sweep's
+    own bound.  The bound widened by ||A||_F ||B||_F / ||AB||_F keeps AB
+    nilpotent."""
+    A, B = np.diag([1.0, 3.0, 1e6]).astype(complex), np.zeros((3, 3), dtype=complex)
+    B[1, 0] = 1.0
+    for seed in range(20):
+        U = random_unitary(rng_for(seed), 3)
+        report = fc.classify_pair(fc.OperatorPair(A=U @ A @ U.conj().T, B=U @ B @ U.conj().T))
+        assert abs(report.factor.lambda_hat - 3.0) <= 1e-9
+        assert report.product_quasinilpotent and "AB" not in _rotation_constraints(report)
+        assert report.consistent, (seed, report.violations)
+
+
+def test_classify_pair_takes_no_general_eigenvalues_of_a_non_hermitian_matrix(monkeypatch):
+    """Clock-shift 16 is invertible and non-Hermitian: no eigvals at all.  A
+    Hermitian factor takes one, for PSD and PD."""
+    calls = []
+    real = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda M: calls.append(M.shape) or real(M))
+    assert fc.classify_pair(fc.clock_shift_pair(16)).consistent
+    assert calls == []
+    assert fc.classify_pair(_pauli_tensor_pair(8)).consistent
+    assert calls == [(8, 8), (8, 8)]
 
 
 @pytest.mark.parametrize("n, shift", [(64, 33), (128, 120)])
@@ -422,7 +502,8 @@ def test_classify_pair_pauli():
     kinds = {c.kind for c in report.constraints}
     assert "pm1" in kinds and "real" in kinds
     assert all(c.satisfied for c in report.constraints)
-    assert report.swap_check.matched and report.product_rotation.matched
+    # AB = i sigma_z: tr[AB] = 0 and tr[(AB)^2] = -2, so lambda^2 = 1
+    assert _rotation_constraints(report)["AB"].order == 2
 
 
 def test_classify_pair_nilpotent_diag_lambda_3():
@@ -431,8 +512,10 @@ def test_classify_pair_nilpotent_diag_lambda_3():
     assert report.consistent
     assert abs(report.factor.lambda_hat - 3.0) <= 1e-12
     assert report.product_quasinilpotent  # non-unit factor forces this
-    # B is invertible, so sigma(A) must be rotation-invariant (it is {0, 0})
-    assert report.a_spectrum_rotation is not None and report.a_spectrum_rotation.matched
+    # B is invertible, so sigma(A) must be rotation-invariant: it is {0, 0},
+    # so no power sum of A clears its bound and no constraint arises
+    assert report.flags_B.invertible and report.flags_A.quasi_nilpotent
+    assert "A" not in _rotation_constraints(report) and all(c.satisfied for c in report.constraints)
 
 
 def test_classify_pair_generic_has_no_factor():
@@ -495,7 +578,7 @@ def test_det_rule_counts_a_tiny_determinant_of_invertible_factors():
     tol, but both factors are invertible, so lambda^4 = 1 holds."""
     pair = fc.clock_shift_pair(4)
     report = fc.classify_pair(fc.OperatorPair(A=1e-3 * pair.A, B=1e-3 * pair.B))
-    roots = [c for c in report.constraints if c.kind == "nth-root"]
+    roots = [c for c in report.constraints if c.kind == "nth-root" and c.source.startswith("nonzero det")]
     assert [c.constraint for c in roots] == ["lambda^4 = 1"] and roots[0].satisfied
     assert abs(complex(roots[0].source.removeprefix("nonzero det(AB) = ")) - 1e-24) <= 1e-30
     assert report.consistent
@@ -649,12 +732,11 @@ def test_classify_pair_runs_each_decomposition_once(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     cases = [
-        # A, B, AB and BA each take one eigvals
-        (_conjugated(fc.clock_shift_pair(4), 17), {"eigvals": 4, "svd": 2, "eigvalsh": 0}),
-        # B and AB are decided nilpotent, so only A takes eigvals
-        (_conjugated(fc.jordan_pair(3, 1.5, -0.5, 0.75, 0.5), 17), {"eigvals": 1, "svd": 2, "eigvalsh": 0}),
-        # PSD is read from the eigenvalues already taken
-        (_pauli_tensor_pair(4), {"eigvals": 4, "svd": 2, "eigvalsh": 0}),
+        # no factor is Hermitian, so none takes eigvals
+        (_conjugated(fc.clock_shift_pair(4), 17), {"eigvals": 0, "svd": 2, "eigvalsh": 0}),
+        (_conjugated(fc.jordan_pair(3, 1.5, -0.5, 0.75, 0.5), 17), {"eigvals": 0, "svd": 2, "eigvalsh": 0}),
+        # each Hermitian factor takes one, for PSD and PD
+        (_pauli_tensor_pair(4), {"eigvals": 2, "svd": 2, "eigvalsh": 0}),
     ]
     for pair, expected in cases:
         calls.update(dict.fromkeys(calls, 0))

@@ -11,7 +11,7 @@ from factorcomm.errors import (
     InvalidParameter,
     NotHermitian,
 )
-from factorcomm.linalg import _scaled, _scaled_traces, adjoint, is_hermitian, singular_values
+from factorcomm.linalg import _power_sum_witnesses, _scaled, _scaled_traces, adjoint, is_hermitian, singular_values
 from factorcomm.sampling import ginibre, random_hermitian, random_unitary, rng_for
 
 SX = fc.PAULI_X
@@ -266,6 +266,22 @@ def test_scaled_traces_stop_once_the_powers_vanish():
         assert len(traces) == count
         assert all(abs(trace) <= bound for trace, bound in traces)
         assert fc.classify_structure(M).quasi_nilpotent
+
+
+@pytest.mark.parametrize("scale", [2.0**-600, 1.0, 0.25])
+def test_power_sum_witnesses_do_not_underflow(scale):
+    """diag(w^j) for the 8th roots of unity w, times 2^-600: tr[M^8] = 8
+    scale^8 is below the double range, but the sweep runs on M over its
+    2-norm bound, so k = 8 is found at every scale.  Only k that lower the
+    gcd are yielded: the 4th and the 6th roots of unity together, after a
+    change of basis, have power sums at k = 4, 6 and 8, and yield 4 and 6."""
+    n = 8
+    M = scale * np.diag(np.exp(2j * np.pi * np.arange(n) / n))
+    [(k, trace)] = _power_sum_witnesses(M, scale)
+    assert k == 8 and abs(trace - 8) <= 1e-12
+    D = scale * np.diag(np.concatenate([np.exp(2j * np.pi * np.arange(4) / 4), np.exp(2j * np.pi * np.arange(6) / 6)]))
+    U = random_unitary(rng_for(63), 10)
+    assert [k for k, _ in _power_sum_witnesses(U @ D @ U.conj().T, scale)] == [4, 6]
 
 
 def test_classify_structure_implications_random():
