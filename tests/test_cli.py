@@ -307,18 +307,20 @@ with open(diag, "w") as handle:
 codes.append(cli.main(["analyze", pair]))
 after_analyze = scipy_modules()
 random_loaded["after_analyze"] = "numpy.random" in sys.modules
-codes += [cli.main(["stone", diag, "--a", "1.5", "--b", "2.5", "--nodes", "400"]),
-          cli.main(["commutant", diag, "--lambda", "1"])]
+for rule in ("trapezoid", "gauss-legendre"):
+    codes.append(cli.main(["stone", diag, "--a", "1.5", "--b", "2.5", "--nodes", "400", "--rule", rule]))
+after_stone = scipy_modules()
+codes.append(cli.main(["commutant", diag, "--lambda", "1"]))
 print(json.dumps({"after_import": after_import, "after_generate": after_generate,
-                  "after_analyze": after_analyze, "codes": codes, "at_exit": scipy_modules(),
-                  "random_loaded": random_loaded}))
+                  "after_analyze": after_analyze, "after_stone": after_stone, "codes": codes,
+                  "at_exit": scipy_modules(), "random_loaded": random_loaded}))
 """
 
 
 def test_import_and_generate_load_no_scipy(tmp_path):
     """scipy is imported inside the functions that call it, so start-up,
-    generate, analyze and error paths pay only for numpy; stone and
-    commutant load scipy.linalg, and no command loads scipy.optimize.
+    generate, analyze, stone (either rule) and error paths pay only for
+    numpy; commutant loads scipy.linalg, and no command loads scipy.optimize.
     Nothing up to analyze draws a random number, so numpy.random stays
     unloaded too."""
     src = str(Path(fc.__file__).resolve().parents[1])
@@ -333,7 +335,8 @@ def test_import_and_generate_load_no_scipy(tmp_path):
     assert result["after_generate"] == []
     assert result["after_analyze"] == []
     assert result["random_loaded"] == {"after_import": False, "after_generate": False, "after_analyze": False}
-    assert result["codes"] == [0, 2, 0, 0, 0]
+    assert result["after_stone"] == []
+    assert result["codes"] == [0, 2, 0, 0, 0, 0]
     assert "scipy.linalg" in result["at_exit"]
     assert not [m for m in result["at_exit"] if m.startswith("scipy.optimize")]
 
@@ -361,19 +364,13 @@ LAPACK_ROUTES = [
     ("numpy.linalg", "eigvalsh", lambda: fc.resolvent_norm_check(DIAG_123, 2.5j), None),
     ("numpy.linalg", "eigvalsh", lambda: fc.transported_integrand_bound(DIAG_123, -1.0, (0.5, 1.5), 1e-3), None),
     ("scipy.linalg", "schur", lambda: fc.solve_lambda_commutant(DIAG_123, 2.0), ["commutant", "m.json", "--lambda", "2"]),
-    (
-        "scipy.linalg",
-        "hessenberg",
-        lambda: fc.stone_projection(DIAG_123, fc.StoneQuadratureSpec((1.5, 2.5), 1e-3, 100)),
-        ["stone", "m.json", "--a", "1.5", "--b", "2.5"],
-    ),
 ]
 
 
 @pytest.mark.parametrize(
     "module, solver, call, argv",
     LAPACK_ROUTES,
-    ids=["eigh", "eigvalsh-norm-check", "eigvalsh-transported-bound", "schur", "hessenberg"],
+    ids=["eigh", "eigvalsh-norm-check", "eigvalsh-transported-bound", "schur"],
 )
 def test_lapack_failure_is_a_convergence_failure_and_exits_2(tmp_path, capsys, monkeypatch, module, solver, call, argv):
     """A decomposition that does not converge raises LinAlgError; the library
